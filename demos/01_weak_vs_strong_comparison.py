@@ -14,7 +14,7 @@ import numpy as np
 
 from orelearn.core import check_strong_correctness, check_weak_correctness, comp_ciph
 from orelearn.opf import OpfOre, forge_spliced_ciphertext
-from orelearn.strengthen import EscrowCertifier, SignatureCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 
 rng = np.random.default_rng(7)
 
@@ -37,7 +37,7 @@ print("disagreements by mutation class:", dict(sorted(report.counts_by_class.ite
 print()
 print("=== 3. the certified wrapper restores the identity exactly ===")
 for certifier in (EscrowCertifier(), SignatureCertifier()):
-    scheme = strengthen(OpfOre(ell=16), certifier)
+    scheme = StrengthenedOre(OpfOre(ell=16), certifier)
     skey = scheme.gen(rng)
     rep = check_strong_correctness(scheme, skey, trials=5000, rng=rng)
     print(f"{certifier.name:9s} certifier: {rep.summary()}")

@@ -13,7 +13,6 @@ import numpy as np
 
 from orelearn.encthresh import (
     DISTRIBUTION_FAMILIES,
-    exact_error,
     labeled_sample,
     make_distribution,
     pac_learn,
@@ -21,10 +20,10 @@ from orelearn.encthresh import (
     required_sample_size,
 )
 from orelearn.opf import OpfOre
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 rng = np.random.default_rng(11)
-scheme = strengthen(OpfOre(ell=32), EscrowCertifier())
+scheme = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
 
 alpha = beta = 0.05
 n = required_sample_size(alpha, beta)
@@ -39,7 +38,7 @@ for family in DISTRIBUTION_FAMILIES:
         dist = make_distribution(family, concept, rng)
         sample = labeled_sample(concept, dist, n, rng)
         hypothesis = pac_learn(scheme, sample)
-        err = exact_error(hypothesis, concept, dist)
+        err = dist.exact_error(hypothesis, concept)
         good += err <= alpha
     print(f"{family:12s}: error <= {alpha} in {good}/{trials} trials")
 
@@ -49,7 +48,7 @@ concept = random_concept(scheme, rng, t=scheme.domain_size // 3)
 dist = make_distribution("uniform", concept, rng)
 hypothesis = pac_learn(scheme, labeled_sample(concept, dist, 4 * n, rng))
 print("  description:", hypothesis.describe())
-print("  exact error:", exact_error(hypothesis, concept, dist))
+print("  exact error:", dist.exact_error(hypothesis, concept))
 anchor_m = scheme.dec(concept.key.sk, hypothesis.anchor)
 print(f"  anchor decrypts to {anchor_m} (threshold is {concept.t}) — one-sided:")
 print(f"  the hypothesis accepts exactly the encryptions of 0..{anchor_m}")

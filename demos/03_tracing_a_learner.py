@@ -24,10 +24,10 @@ from orelearn.reident import (
     soundness_experiment,
     trace_ex,
 )
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 rng = np.random.default_rng(23)
-scheme = strengthen(OpfOre(ell=32), EscrowCertifier())
+scheme = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
 gamma, xi = 0.45, 0.05
 n = 30
 learner = lambda sample: pac_learn(scheme, sample)

@@ -18,18 +18,18 @@ from orelearn.games import (
     EscrowKeyLeakAdversary,
     PayloadBitAdversary,
     RandomGuessAdversary,
-    adversary_from_learner,
+    ReductionAdversary,
     adversary_success_prob,
     hybrid_schedule,
     run_static_game,
     synthetic_reduction_win_rate,
 )
 from orelearn.opf import OpfOre
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 rng = np.random.default_rng(31)
 base = OpfOre(ell=16)
-scheme = strengthen(base, EscrowCertifier())
+scheme = StrengthenedOre(base, EscrowCertifier())
 
 print("=== static game: stock adversaries ===")
 pair = ChallengePair((1000, 2000, 3000), (1500, 2500, 3500))
@@ -50,8 +50,8 @@ for j, vec in enumerate(hybrid_schedule(pair)):
 print()
 print("=== the reduction: honest learner vs synthetic hypotheses ===")
 n = 20
-big = strengthen(OpfOre(ell=32), EscrowCertifier())  # wide domain: draws stay well-spaced
-adversary = adversary_from_learner(big, lambda s: pac_learn(big, s), n, j_star=7)
+big = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())  # wide domain: draws stay well-spaced
+adversary = ReductionAdversary(big, lambda s: pac_learn(big, s), n, j_star=7)
 report = run_static_game(big, adversary, 1500, rng)
 print(f"honest learner:  advantage = {report.advantage:.4f} "
       f"(soundness holds, so only the tiny floor {0.45**2 / (8 * n * n):.2e} is required)")

@@ -15,7 +15,7 @@ import numpy as np
 from orelearn.encthresh import PointMassDistribution, random_concept
 from orelearn.opf import OpfOre
 from orelearn.sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 rng = np.random.default_rng(41)
 alpha = 0.05
@@ -28,7 +28,7 @@ def support_dist(concept, size):
 
 
 print("=== oracle-backed key recovery, ell=16 ===")
-scheme = strengthen(OpfOre(ell=16), EscrowCertifier())
+scheme = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
 budget = 1 + 8 * scheme.params_len() + scheme.ell
 for trial in range(3):
     concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
@@ -43,7 +43,7 @@ for trial in range(3):
 
 print()
 print("=== genuine exhaustive search over a 16-bit coin space, ell=10 ===")
-tiny = strengthen(OpfOre(ell=10, coin_len=2), EscrowCertifier())
+tiny = StrengthenedOre(OpfOre(ell=10, coin_len=2), EscrowCertifier())
 concept = random_concept(tiny, rng, t=700)
 dist = support_dist(concept, 128)
 oracle = StatOracle(concept, dist, alpha, mode="exact")

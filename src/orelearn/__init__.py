@@ -31,7 +31,7 @@ from .encthresh import (
 )
 from .games import (
     ChallengePair,
-    adversary_from_learner,
+    ReductionAdversary,
     adversary_success_prob,
     hybrid_schedule,
     run_single_challenge_game,
@@ -48,7 +48,7 @@ from .reident import (
     trace_ex,
 )
 from .sq import StatOracle, sq_learn
-from .strengthen import EscrowCertifier, SignatureCertifier, strengthen
+from .strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from .validsig import (
     Ed25519Scheme,
     ValidSigConcept,

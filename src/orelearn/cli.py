@@ -12,7 +12,28 @@ import argparse
 import json
 import sys
 
-from .harness import ConfigError, ExperimentConfig, run
+from .harness import (
+    _CERTIFIERS,
+    _DEFAULTS,
+    _DISTS,
+    _KEYSPACES,
+    _MODES,
+    _SCHEMES,
+    ConfigError,
+    ExperimentConfig,
+    run,
+)
+
+_HELP = {
+    "correctness": "decryption/weak/strong correctness sweeps",
+    "pac": "comparator learner error-bound experiment",
+    "trace": "reidentification completeness/soundness",
+    "games": "indistinguishability game runners",
+    "hybrid": "expand and check a hybrid schedule",
+    "sq": "statistical-query learner experiment",
+    "validsig": "signature-validity concept experiments",
+}
+_MODE_HELP = {"sq": "oracle answer mode"}
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -23,17 +44,12 @@ def _add_common(sub: argparse.ArgumentParser):
         "--format", choices=("json", "csv", "both"), default="both", dest="out_format"
     )
     sub.add_argument("--transcripts", action="store_true", default=None)
-    sub.add_argument("--ell", type=int, default=None)
-    sub.add_argument("--lam", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--xi", type=float, default=None)
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--scheme", choices=("opf", "strengthened"), default=None)
-    sub.add_argument("--certifier", choices=("signature", "escrow"), default=None)
+    for name in ("ell", "lam", "trials", "n"):
+        sub.add_argument(f"--{name}", type=int, default=None)
+    for name in ("alpha", "beta", "gamma", "xi", "eps"):
+        sub.add_argument(f"--{name}", type=float, default=None)
+    sub.add_argument("--scheme", choices=_SCHEMES, default=None)
+    sub.add_argument("--certifier", choices=tuple(_CERTIFIERS), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,48 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
         "and encrypted-threshold learning",
     )
     subs = parser.add_subparsers(dest="experiment", required=True)
+    for experiment, modes in _MODES.items():
+        sub = subs.add_parser(experiment, help=_HELP[experiment])
+        _add_common(sub)
+        if any(modes):
+            sub.add_argument(
+                "--mode",
+                choices=[m for m in modes if m],
+                default=None,  # the first mode, unless the config file names one
+                help=_MODE_HELP.get(experiment),
+            )
 
-    sub = subs.add_parser("correctness", help="decryption/weak/strong correctness sweeps")
-    _add_common(sub)
-
-    sub = subs.add_parser("pac", help="comparator learner error-bound experiment")
-    _add_common(sub)
-    sub.add_argument(
-        "--dist",
-        choices=("uniform", "malformed", "wrongparams", "pointmass", "all"),
-        default=None,
-    )
-
-    sub = subs.add_parser("trace", help="reidentification completeness/soundness")
-    _add_common(sub)
-    sub.add_argument("--mode", choices=("completeness", "soundness"), default="completeness")
-    sub.add_argument("--drop-index", type=int, default=None, dest="drop_index")
-    sub.add_argument("--k-cap", type=int, default=None, dest="k_cap",
-                     help="cap per-bucket samples (reduced-K mode, non-conforming)")
-
-    sub = subs.add_parser("games", help="indistinguishability game runners")
-    _add_common(sub)
-    sub.add_argument(
-        "--mode",
-        choices=("random", "payload", "leak", "reduction", "synthetic"),
-        default="random",
-    )
-
-    sub = subs.add_parser("hybrid", help="expand and check a hybrid schedule")
-    _add_common(sub)
-    sub.add_argument("--left", type=str, required=False, help="comma-separated ascending ints")
-    sub.add_argument("--right", type=str, required=False)
-
-    sub = subs.add_parser("sq", help="statistical-query learner experiment")
-    _add_common(sub)
-    sub.add_argument("--mode", choices=("exact", "jitter"), default=None,
-                     help="oracle answer mode")
-    sub.add_argument("--keyspace", choices=("oracle", "tiny"), default=None)
-
-    sub = subs.add_parser("validsig", help="signature-validity concept experiments")
-    _add_common(sub)
-    sub.add_argument("--mode", choices=("learn", "trace", "forge"), default="learn")
-
+    subs.choices["pac"].add_argument("--dist", choices=_DISTS, default=None)
+    trace = subs.choices["trace"]
+    trace.add_argument("--drop-index", type=int, default=None, dest="drop_index")
+    trace.add_argument("--k-cap", type=int, default=None, dest="k_cap",
+                       help="cap per-bucket samples (reduced-K mode, non-conforming)")
+    hybrid = subs.choices["hybrid"]
+    hybrid.add_argument("--left", type=str, required=False, help="comma-separated ascending ints")
+    hybrid.add_argument("--right", type=str, required=False)
+    subs.choices["sq"].add_argument("--keyspace", choices=tuple(_KEYSPACES), default=None)
     return parser
 
 
@@ -95,19 +89,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config file must hold a JSON object")
-    raw["experiment"] = args.experiment
-    for key in (
-        "seed", "ell", "lam", "trials", "n", "alpha", "beta", "gamma", "xi",
-        "eps", "scheme", "certifier", "dist", "mode", "drop_index", "k_cap",
-        "keyspace", "transcripts",
-    ):
+    for key in _DEFAULTS:  # flags override file values; "experiment" is the subcommand
         value = getattr(args, key, None)
-        if value is not None:
+        if key in ("left", "right") and isinstance(value, str):
+            try:
+                raw[key] = [int(tok) for tok in value.split(",") if tok.strip()]
+            except ValueError:
+                raise ConfigError(key, f"not a comma-separated list of ints: {value!r}") from None
+        elif value is not None:
             raw[key] = value
-    for key in ("left", "right"):
-        value = getattr(args, key, None)
-        if isinstance(value, str):
-            raw[key] = [int(tok) for tok in value.split(",") if tok.strip()]
+    raw.setdefault("mode", next(iter(_MODES[args.experiment])))
     return ExperimentConfig.from_dict(raw)
 
 
@@ -119,7 +110,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: <file>: {exc}", file=sys.stderr)
         return 2
     report = run(config)

@@ -49,6 +49,7 @@ __all__ = [
     "check_strong_correctness",
     "FuzzPairSampler",
     "MUTATION_CLASSES",
+    "mutate_ciphertext",
     "encode_blob",
     "decode_blob",
     "serialize_key",
@@ -92,10 +93,6 @@ class Ordering3(enum.Enum):
         if self is Ordering3.GT:
             return Ordering3.LT
         return Ordering3.EQ
-
-
-#: Result of a public comparison: an ordering, or BOT on validation failure.
-CompareResult = "Ordering3 | Bot"
 
 
 def compare_ints(m0: int, m1: int) -> Ordering3:
@@ -293,6 +290,22 @@ def check_weak_correctness(
 MUTATION_CLASSES = ("valid", "bitflip", "truncate", "random")
 
 
+def mutate_ciphertext(ct: bytes, kind: str, rng: np.random.Generator) -> bytes:
+    """Apply one mutation class to ``ct``: "bitflip" flips one uniform bit,
+    "truncate" keeps a uniform proper prefix, and "random" returns uniform
+    bytes of a uniform length in [1, len(ct) + 16)."""
+    if kind == "bitflip":
+        pos = int(rng.integers(0, len(ct) * 8))
+        b = bytearray(ct)
+        b[pos // 8] ^= 1 << (pos % 8)
+        return bytes(b)
+    if kind == "truncate":
+        return ct[: int(rng.integers(0, len(ct)))]
+    if kind == "random":
+        return bytes(rng.bytes(int(rng.integers(1, len(ct) + 16))))
+    raise ValueError(f"unknown mutation class {kind!r}")
+
+
 class FuzzPairSampler:
     """Samples ciphertexts from four mutation classes at fixed 0.25 weights.
 
@@ -311,16 +324,7 @@ class FuzzPairSampler:
         ct = self.scheme.enc(self.key.sk, m)
         if cls == "valid":
             return ct, cls
-        if cls == "bitflip":
-            pos = int(rng.integers(0, len(ct) * 8))
-            b = bytearray(ct)
-            b[pos // 8] ^= 1 << (pos % 8)
-            return bytes(b), cls
-        if cls == "truncate":
-            cut = int(rng.integers(0, len(ct)))
-            return ct[:cut], cls
-        length = int(rng.integers(1, len(ct) + 16))
-        return bytes(rng.bytes(length)), cls
+        return mutate_ciphertext(ct, cls, rng), cls
 
 
 def check_strong_correctness(

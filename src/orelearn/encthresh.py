@@ -27,14 +27,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BOT, KeyMaterial, Ordering3, OreScheme, PublicParams
+from .core import BOT, KeyMaterial, Ordering3, OreScheme, PublicParams, mutate_ciphertext
 from .strengthen import StrengthenedOre
 
 __all__ = [
     "Example",
     "EncThreshConcept",
     "random_concept",
-    "evaluate_concept",
     "AllZeroesHypothesis",
     "ComparatorHypothesis",
     "DecryptThresholdHypothesis",
@@ -42,7 +41,6 @@ __all__ = [
     "pac_learn",
     "labeled_sample",
     "empirical_error",
-    "exact_error",
     "UniformValidDistribution",
     "MalformedMixtureDistribution",
     "WrongParamsMixtureDistribution",
@@ -81,10 +79,6 @@ class EncThreshConcept:
 
     def encrypt_example(self, m: int) -> Example:
         return Example(self.key.params, self.scheme.enc(self.key.sk, m))
-
-
-def evaluate_concept(concept: EncThreshConcept, example: Example) -> int:
-    return concept.evaluate(example)
 
 
 def random_concept(
@@ -244,11 +238,6 @@ def empirical_error(
     return bad / samples
 
 
-def exact_error(hypothesis, concept: EncThreshConcept, dist) -> float:
-    """Exact generalization error where the distribution supports it."""
-    return dist.exact_error(hypothesis, concept)
-
-
 def _valid_uniform_error(hypothesis, concept: EncThreshConcept) -> float:
     """Closed-form error of a hypothesis on uniform valid encryptions.
 
@@ -298,17 +287,7 @@ class UniformValidDistribution:
         return _valid_uniform_error(hypothesis, concept)
 
 
-def _mutate_ciphertext(ct: bytes, rng: np.random.Generator) -> bytes:
-    """One of: random bytes, single bit flip, truncation (equal weights)."""
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
-        return bytes(rng.bytes(int(rng.integers(1, len(ct) + 16))))
-    if kind == 1:
-        pos = int(rng.integers(0, len(ct) * 8))
-        b = bytearray(ct)
-        b[pos // 8] ^= 1 << (pos % 8)
-        return bytes(b)
-    return ct[: int(rng.integers(0, len(ct)))]
+_MALFORMED_KINDS = ("random", "bitflip", "truncate")  # equal weights, in draw order
 
 
 class MalformedMixtureDistribution:
@@ -330,7 +309,8 @@ class MalformedMixtureDistribution:
         ex = self.concept.encrypt_example(m)
         if rng.random() < self.valid_weight:
             return ex
-        return Example(ex.params, _mutate_ciphertext(ex.ct, rng))
+        kind = _MALFORMED_KINDS[int(rng.integers(0, 3))]
+        return Example(ex.params, mutate_ciphertext(ex.ct, kind, rng))
 
     def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
         _require_strong(concept.scheme)

@@ -15,7 +15,7 @@ Pr[guess=1 | b=1]| over seeded trials with a normal-approximation 95%
 confidence interval.  Negligible-advantage claims are mapped to fixed
 smoke thresholds, not proofs.
 
-``adversary_from_learner`` implements the reduction that turns any
+``ReductionAdversary`` implements the reduction that turns any
 learner violating tracing soundness into a static-game adversary: it
 plants two challenge encryptions drawn either from one or from two
 adjacent plaintext buckets around the dropped example, feeds the learner
@@ -36,6 +36,7 @@ import numpy as np
 from .core import OreScheme, PublicParams
 from .encthresh import Example
 from .opf import OpfSecretKey
+from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 
 __all__ = [
     "ChallengePair",
@@ -46,7 +47,6 @@ __all__ = [
     "run_single_challenge_game",
     "hybrid_schedule",
     "adversary_success_prob",
-    "adversary_from_learner",
     "ReductionAdversary",
     "synthetic_reduction_win_rate",
     "RandomGuessAdversary",
@@ -137,10 +137,34 @@ class GameReport:
         return self.advantage + self.ci_halfwidth
 
 
-def _advantage_report(game, guesses_b0, guesses_b1, trials, transcripts, flag_counts):
-    n0, n1 = len(guesses_b0), len(guesses_b1)
-    p0 = sum(guesses_b0) / n0 if n0 else 0.0
-    p1 = sum(guesses_b1) / n1 if n1 else 0.0
+def _play(game, scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameReport:
+    """The trial loop shared by both games.
+
+    Per trial: the adversary picks a challenge, then the bit and the key are
+    drawn and ``encrypt(sk, challenge, bit)`` gives the ciphertext arguments
+    that ``adversary.guess`` receives between the params and the rng.
+    """
+    guesses = {0: [], 1: []}
+    transcripts = [] if keep_transcripts else None
+    flag_counts: dict = {}
+    for trial in range(trials):
+        challenge = adversary.choose_challenge(rng)
+        challenge.validate(scheme.domain_size)
+        bit = int(rng.integers(0, 2))
+        key = scheme.gen(rng)
+        guess = int(adversary.guess(key.params, *encrypt(key.sk, challenge, bit), rng))
+        guesses[bit].append(guess)
+        flags = dict(getattr(adversary, "transcript_flags", {}) or {})
+        for k, v in flags.items():
+            if v:
+                flag_counts[k] = flag_counts.get(k, 0) + 1
+        if keep_transcripts:
+            transcripts.append(
+                GameTranscript(trial, bit, guess, guess == bit, flags)
+            )
+    n0, n1 = len(guesses[0]), len(guesses[1])
+    p0 = sum(guesses[0]) / n0 if n0 else 0.0
+    p1 = sum(guesses[1]) / n1 if n1 else 0.0
     var = 0.0
     if n0:
         var += p0 * (1 - p0) / n0
@@ -167,29 +191,12 @@ def run_static_game(
     keep_transcripts: bool = False,
 ) -> GameReport:
     """Static (many-message) indistinguishability experiment."""
-    guesses = {0: [], 1: []}
-    transcripts = [] if keep_transcripts else None
-    flag_counts: dict = {}
-    for trial in range(trials):
-        challenge = adversary.choose_challenge(rng)
-        challenge.validate(scheme.domain_size)
-        bit = int(rng.integers(0, 2))
-        key = scheme.gen(rng)
+
+    def encrypt(sk, challenge: ChallengePair, bit: int):
         side = challenge.left if bit == 0 else challenge.right
-        cts = [scheme.enc(key.sk, m) for m in side]
-        guess = int(adversary.guess(key.params, cts, rng))
-        guesses[bit].append(guess)
-        flags = dict(getattr(adversary, "transcript_flags", {}) or {})
-        for k, v in flags.items():
-            if v:
-                flag_counts[k] = flag_counts.get(k, 0) + 1
-        if keep_transcripts:
-            transcripts.append(
-                GameTranscript(trial, bit, guess, guess == bit, flags)
-            )
-    return _advantage_report(
-        "static", guesses[0], guesses[1], trials, transcripts, flag_counts
-    )
+        return ([scheme.enc(sk, m) for m in side],)
+
+    return _play("static", scheme, adversary, trials, rng, keep_transcripts, encrypt)
 
 
 def run_single_challenge_game(
@@ -200,30 +207,13 @@ def run_single_challenge_game(
     keep_transcripts: bool = False,
 ) -> GameReport:
     """Single-challenge indistinguishability experiment."""
-    guesses = {0: [], 1: []}
-    transcripts = [] if keep_transcripts else None
-    flag_counts: dict = {}
-    for trial in range(trials):
-        challenge = adversary.choose_challenge(rng)
-        challenge.validate(scheme.domain_size)
-        bit = int(rng.integers(0, 2))
-        key = scheme.gen(rng)
-        cts = [scheme.enc(key.sk, m) for m in challenge.messages]
-        cstar = scheme.enc(
-            key.sk, challenge.m_left if bit == 0 else challenge.m_right
-        )
-        guess = int(adversary.guess(key.params, cts, cstar, rng))
-        guesses[bit].append(guess)
-        flags = dict(getattr(adversary, "transcript_flags", {}) or {})
-        for k, v in flags.items():
-            if v:
-                flag_counts[k] = flag_counts.get(k, 0) + 1
-        if keep_transcripts:
-            transcripts.append(
-                GameTranscript(trial, bit, guess, guess == bit, flags)
-            )
-    return _advantage_report(
-        "single-challenge", guesses[0], guesses[1], trials, transcripts, flag_counts
+
+    def encrypt(sk, challenge: SingleChallenge, bit: int):
+        cts = [scheme.enc(sk, m) for m in challenge.messages]
+        return cts, scheme.enc(sk, challenge.m_left if bit == 0 else challenge.m_right)
+
+    return _play(
+        "single-challenge", scheme, adversary, trials, rng, keep_transcripts, encrypt
     )
 
 
@@ -362,13 +352,6 @@ class ReductionAdversary:
         return 0 if y0 == y1 else 1
 
 
-def adversary_from_learner(
-    scheme: OreScheme, learner, n: int, j_star: int, t=None
-) -> ReductionAdversary:
-    """Build the static-game adversary from a learner and a target index."""
-    return ReductionAdversary(scheme, learner, n, j_star, t=t)
-
-
 def synthetic_reduction_win_rate(
     p: float, q: float, trials: int, rng: np.random.Generator
 ) -> float:
@@ -443,28 +426,19 @@ class EscrowKeyLeakAdversary:
         if pair.left[0] == pair.right[0]:
             raise ValueError("challenge sides must differ in the first message")
         self.base_scheme = base_scheme
+        self.strong_scheme = StrengthenedOre(base_scheme, EscrowCertifier())
         self.pair = pair
 
     def choose_challenge(self, rng) -> ChallengePair:
         return self.pair
 
     def guess(self, params, cts, rng) -> int:
+        if not (isinstance(params, StrongParams) and params.cert_vk.kind == "escrow"):
+            raise ValueError("the leak channel needs escrow-strengthened params")
         blob = params.cert_vk.serialize()
-        assert blob.startswith(b"escrow:"), "leak channel requires escrow params"
         sk = OpfSecretKey(blob[len(b"escrow:") :], self.base_scheme.ell)
-        fields_ok, base_ct = self._base_ct(cts[0])
-        if not fields_ok:
+        parsed = self.strong_scheme.parse(cts[0])
+        if parsed is None:
             return int(rng.integers(0, 2))
-        m = self.base_scheme.dec(sk, base_ct)
+        m = self.base_scheme.dec(sk, parsed[0])
         return 0 if m == self.pair.left[0] else 1
-
-    @staticmethod
-    def _base_ct(ct: bytes):
-        from .core import decode_blob
-
-        if len(ct) < 2:
-            return False, b""
-        fields = decode_blob(ct[2:], 2)
-        if fields is None:
-            return False, b""
-        return True, fields[0]

@@ -2,7 +2,7 @@
 
 Every experiment is described by an ``ExperimentConfig`` whose canonical
 JSON serialization (sorted keys) is hashed to identify the run.  Unknown
-config keys are rejected so experiment definitions cannot drift silently.
+keys and mistyped values are rejected so definitions cannot drift silently.
 Each trial draws its own random stream from a keyed hash of (master seed,
 trial index), making whole runs reproducible bit-for-bit: re-running with
 the same config bytes yields identical per-trial rows, and the CSV bodies
@@ -28,7 +28,6 @@ from .core import check_strong_correctness, check_weak_correctness
 from .encthresh import (
     DISTRIBUTION_FAMILIES,
     PointMassDistribution,
-    exact_error,
     labeled_sample,
     make_distribution,
     pac_learn,
@@ -40,7 +39,7 @@ from .games import (
     EscrowKeyLeakAdversary,
     PayloadBitAdversary,
     RandomGuessAdversary,
-    adversary_from_learner,
+    ReductionAdversary,
     hybrid_schedule,
     run_static_game,
     synthetic_reduction_win_rate,
@@ -53,7 +52,7 @@ from .reident import (
     soundness_experiment,
 )
 from .sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
-from .strengthen import EscrowCertifier, SignatureCertifier, strengthen
+from .strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from .validsig import (
     Ed25519Scheme,
     SigExampleDistribution,
@@ -74,9 +73,25 @@ __all__ = [
     "CSV_SCHEMA_VERSION",
 ]
 
-EXPERIMENTS = ("correctness", "pac", "trace", "games", "hybrid", "sq", "validsig")
-
 CSV_SCHEMA_VERSION = "orelearn.csv.v1"
+
+# experiment -> {mode: largest workable ell}; the first mode is the default.
+# The limits are where numpy's int64 draws end: rng.integers(0, 2**ell + 1)
+# needs ell <= 62 and rng.integers(0, 2**ell) needs ell <= 63.
+_MODES = {
+    "correctness": {None: 63},
+    "pac": {None: 62},
+    "trace": {"completeness": 63, "soundness": 63},
+    "games": {"random": 64, "payload": 64, "leak": 64, "reduction": 63, "synthetic": 64},
+    "hybrid": {None: 64},
+    "sq": {None: 62, "exact": 62, "jitter": 62},  # statistical-query oracle answer mode
+    "validsig": {"learn": 64, "trace": 64, "forge": 64},
+}
+EXPERIMENTS = tuple(_MODES)
+_SCHEMES = ("opf", "strengthened")
+_CERTIFIERS = {"signature": SignatureCertifier, "escrow": EscrowCertifier}
+_DISTS = DISTRIBUTION_FAMILIES + ("all",)
+_KEYSPACES = {"oracle": 32, "tiny": 2}  # keyspace -> base scheme coin bytes
 
 
 class ConfigError(ValueError):
@@ -87,38 +102,13 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-_DEFAULTS = {
-    "experiment": None,  # required
-    "lam": 128,
-    "ell": 16,
-    "n": 50,
-    "alpha": 0.05,
-    "beta": 0.05,
-    "gamma": 0.45,
-    "xi": 0.01,
-    "eps": 0.1,
-    "trials": 100,
-    "seed": 0,
-    "scheme": "strengthened",
-    "certifier": "escrow",
-    "dist": "uniform",
-    "mode": None,
-    "drop_index": None,
-    "k_cap": None,
-    "left": None,
-    "right": None,
-    "keyspace": "oracle",
-    "transcripts": False,
-}
-
-_MODES = {
-    "correctness": (None,),
-    "pac": (None,),
-    "trace": ("completeness", "soundness"),
-    "games": ("random", "payload", "leak", "reduction", "synthetic"),
-    "hybrid": (None,),
-    "sq": (None, "exact", "jitter"),  # statistical-query oracle answer mode
-    "validsig": ("learn", "trace", "forge"),
+# field annotation (without "| None") -> accepted JSON values; bools are not numbers
+_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "tuple": lambda v: isinstance(v, (list, tuple)) and all(map(_TYPE_CHECKS["int"], v)),
 }
 
 
@@ -138,11 +128,11 @@ class ExperimentConfig:
     scheme: str = "strengthened"
     certifier: str = "escrow"
     dist: str = "uniform"
-    mode: "str | None" = None
-    drop_index: "int | None" = None
-    k_cap: "int | None" = None
-    left: "tuple | None" = None
-    right: "tuple | None" = None
+    mode: str | None = None
+    drop_index: int | None = None
+    k_cap: int | None = None
+    left: tuple | None = None
+    right: tuple | None = None
     keyspace: str = "oracle"
     transcripts: bool = False
 
@@ -153,6 +143,11 @@ class ExperimentConfig:
             raise ConfigError(sorted(unknown)[0], "unknown config key")
         if "experiment" not in raw:
             raise ConfigError("experiment", "missing required key")
+        for f in dataclasses.fields(cls):
+            v = raw.get(f.name, _DEFAULTS[f.name])
+            kind, _, optional = f.type.partition(" | ")
+            if not (_TYPE_CHECKS[kind](v) or (optional and v is None)):
+                raise ConfigError(f.name, f"must be of type {f.type}, got {v!r}")
         merged = dict(_DEFAULTS)
         merged.update(raw)
         cfg = cls(**{k: (tuple(v) if k in ("left", "right") and v is not None else v) for k, v in merged.items()})
@@ -162,12 +157,21 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
-        if not (1 <= self.ell <= 64):
-            raise ConfigError("ell", "must be in [1, 64]")
+        modes = _MODES[self.experiment]
+        if self.mode not in modes:
+            raise ConfigError("mode", f"must be one of {tuple(modes)}")
+        if not (1 <= self.ell <= modes[self.mode]):
+            raise ConfigError(
+                "ell", f"must be in [1, {modes[self.mode]}] for {self.experiment} mode {self.mode}"
+            )
+        if not (0 <= self.seed < 1 << 64):
+            raise ConfigError("seed", "must be in [0, 2**64)")
         if self.trials < 0:
             raise ConfigError("trials", "must be >= 0")
         if self.n < 1:
             raise ConfigError("n", "must be >= 1")
+        if self.k_cap is not None and self.k_cap < 1:
+            raise ConfigError("k_cap", "must be >= 1")
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (0 < v < 1):
@@ -176,32 +180,42 @@ class ExperimentConfig:
             raise ConfigError("gamma", "must lie in (0, 0.5]")
         if not (0 < self.xi < 1):
             raise ConfigError("xi", "must lie in (0, 1)")
-        if self.scheme not in ("opf", "strengthened"):
-            raise ConfigError("scheme", "must be 'opf' or 'strengthened'")
-        if self.certifier not in ("escrow", "signature"):
-            raise ConfigError("certifier", "must be 'escrow' or 'signature'")
-        if self.dist not in DISTRIBUTION_FAMILIES + ("all",):
-            raise ConfigError("dist", f"must be one of {DISTRIBUTION_FAMILIES + ('all',)}")
-        if self.keyspace not in ("oracle", "tiny"):
-            raise ConfigError("keyspace", "must be 'oracle' or 'tiny'")
-        allowed_modes = _MODES[self.experiment]
-        if self.mode not in allowed_modes:
-            raise ConfigError("mode", f"must be one of {allowed_modes}")
+        if not (self.eps >= 0):
+            raise ConfigError("eps", "must be >= 0")
+        for name, allowed in (
+            ("scheme", _SCHEMES),
+            ("certifier", tuple(_CERTIFIERS)),
+            ("dist", _DISTS),
+            ("keyspace", tuple(_KEYSPACES)),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(name, f"must be one of {allowed}")
+        if self.mode == "leak" and (self.scheme, self.certifier) != ("strengthened", "escrow"):
+            raise ConfigError("mode", "leak adversary needs the escrow-strengthened scheme")
         if self.experiment == "trace" and self.mode == "soundness":
             if self.drop_index is None or not (1 <= self.drop_index <= self.n):
                 raise ConfigError("drop_index", "must lie in [1, n] for soundness mode")
         if self.experiment == "hybrid":
             if not self.left or not self.right:
                 raise ConfigError("left", "hybrid experiment needs left and right vectors")
+            try:
+                ChallengePair(left=self.left, right=self.right).validate(1 << self.ell)
+            except ValueError as exc:
+                raise ConfigError("left", str(exc)) from None
 
     def canonical_json(self) -> str:
-        d = dataclasses.asdict(self)
-        d["left"] = list(d["left"]) if d["left"] is not None else None
-        d["right"] = list(d["right"]) if d["right"] is not None else None
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        # json writes the left/right tuples as lists
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+
+
+# field -> default; the required ``experiment`` maps to None
+_DEFAULTS = {
+    f.name: None if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def derive_trial_rng(
@@ -218,12 +232,11 @@ def derive_trial_rng(
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def build_scheme(config: ExperimentConfig):
-    base = OpfOre(lam=config.lam, ell=config.ell)
+def build_scheme(config: ExperimentConfig, coin_len: int = 32):
+    base = OpfOre(lam=config.lam, ell=config.ell, coin_len=coin_len)
     if config.scheme == "opf":
         return base
-    certifier = EscrowCertifier() if config.certifier == "escrow" else SignatureCertifier()
-    return strengthen(base, certifier)
+    return StrengthenedOre(base, _CERTIFIERS[config.certifier]())
 
 
 @dataclass
@@ -382,7 +395,7 @@ def _run_pac(config: ExperimentConfig):
             dist = make_distribution(family, concept, rng)
             sample = labeled_sample(concept, dist, n, rng)
             hypothesis = pac_learn(scheme, sample)
-            err = exact_error(hypothesis, concept, dist)
+            err = dist.exact_error(hypothesis, concept)
             probes = [x for x, _ in sample] + [dist.sample(rng) for _ in range(50)]
             one_sided = all(
                 hypothesis.evaluate(x) <= concept.evaluate(x) for x in probes
@@ -415,38 +428,16 @@ def _run_trace(config: ExperimentConfig):
     rng = derive_trial_rng(config.seed, 0)
     # pass alpha = 1/2 - gamma to match the weak-learning tracing regime;
     # the defaults (alpha=0.05, gamma=0.45) already align
-    alpha = config.alpha
-    columns = ["trial", "well_spaced", "error", "accused", "good_and_untraced"]
-    rows = []
+    common = (config.gamma, config.xi, config.trials, rng)
     if config.mode == "completeness":
         report = completeness_experiment(
-            scheme,
-            config.n,
-            learner,
-            alpha,
-            config.gamma,
-            config.xi,
-            config.trials,
-            rng,
-            k_cap=config.k_cap,
+            scheme, config.n, learner, config.alpha, *common, k_cap=config.k_cap
         )
-        for t, r in enumerate(report.rows):
-            rows.append(
-                {
-                    "trial": t,
-                    "well_spaced": r["well_spaced"],
-                    "error": r["error"],
-                    "accused": r["accused"],
-                    "good_and_untraced": r["good"] and r["accused"] is None,
-                }
-            )
         aggregates = {
             "p_good": report.p_good,
             "p_good_and_untraced": report.p_good_and_untraced,
             "p_accused": report.p_accused,
             "p_accused_well_spaced": report.p_accused_well_spaced(),
-            "k_conforming": report.k_conforming,
-            "dp_delta_bound": dp_bound(config.beta, config.xi, config.n, config.eps),
         }
         passed = (
             report.p_good_and_untraced <= 0.05
@@ -454,34 +445,27 @@ def _run_trace(config: ExperimentConfig):
         )
     else:
         report = soundness_experiment(
-            scheme,
-            config.n,
-            learner,
-            config.drop_index,
-            config.gamma,
-            config.xi,
-            config.trials,
-            rng,
-            k_cap=config.k_cap,
+            scheme, config.n, learner, config.drop_index, *common, k_cap=config.k_cap
         )
-        for t, r in enumerate(report.rows):
-            rows.append(
-                {
-                    "trial": t,
-                    "well_spaced": r["well_spaced"],
-                    "error": None,
-                    "accused": r["accused"],
-                    "good_and_untraced": None,
-                }
-            )
         aggregates = {
             "p_accuse_dropped": report.p_accuse_dropped,
             "p_accuse_dropped_well_spaced": report.p_accuse_dropped_well_spaced(),
             "drop_index": config.drop_index,
-            "k_conforming": report.k_conforming,
-            "dp_delta_bound": dp_bound(config.beta, config.xi, config.n, config.eps),
         }
         passed = report.p_accuse_dropped <= 0.02
+    aggregates["k_conforming"] = report.k_conforming
+    aggregates["dp_delta_bound"] = dp_bound(config.beta, config.xi, config.n, config.eps)
+    columns = ["trial", "well_spaced", "error", "accused", "good_and_untraced"]
+    rows = [
+        {
+            "trial": t,
+            "well_spaced": r["well_spaced"],
+            "error": r.get("error"),  # soundness rows carry no error
+            "accused": r["accused"],
+            "good_and_untraced": (r["good"] and r["accused"] is None) if "good" in r else None,
+        }
+        for t, r in enumerate(report.rows)
+    ]
     return columns, rows, aggregates, passed if config.trials else None
 
 
@@ -519,13 +503,11 @@ def _run_games(config: ExperimentConfig):
         adversary = PayloadBitAdversary(ChallengePair(left, right))
         gate = lambda rep: rep.advantage <= 0.03 + rep.ci_halfwidth
     elif config.mode == "leak":
-        if not (config.scheme == "strengthened" and config.certifier == "escrow"):
-            raise ConfigError("mode", "leak adversary needs the escrow-strengthened scheme")
         adversary = EscrowKeyLeakAdversary(OpfOre(config.lam, config.ell), ChallengePair(left, right))
         gate = lambda rep: rep.advantage >= 0.9
     else:  # reduction
         learner = lambda sample: pac_learn(scheme, sample)
-        adversary = adversary_from_learner(scheme, learner, config.n, max(1, config.n // 2))
+        adversary = ReductionAdversary(scheme, learner, config.n, max(1, config.n // 2))
         bound = config.gamma**2 / (8.0 * config.n**2)
         gate = lambda rep: rep.advantage >= bound - rep.ci_halfwidth
     report = run_static_game(
@@ -581,14 +563,7 @@ def _run_hybrid(config: ExperimentConfig):
 
 
 def _run_sq(config: ExperimentConfig):
-    if config.keyspace == "tiny":
-        base = OpfOre(lam=config.lam, ell=config.ell, coin_len=2)
-        certifier = (
-            EscrowCertifier() if config.certifier == "escrow" else SignatureCertifier()
-        )
-        scheme = strengthen(base, certifier) if config.scheme == "strengthened" else base
-    else:
-        scheme = build_scheme(config)
+    scheme = build_scheme(config, coin_len=_KEYSPACES[config.keyspace])
     columns = ["trial", "queries", "recovered_t", "true_t", "error", "hypothesis"]
     rows = []
     bound = 1 + 8 * scheme.params_len() + config.ell

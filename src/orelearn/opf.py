@@ -140,7 +140,8 @@ class OpfOre(OreScheme):
             # split point confined to the middle half keeps both children
             # at least a quarter of the parent: 2**(3*ell) / 4**ell = 2**ell
             # leaf intervals survive, so strict monotonicity is unconditional.
-            assert quarter >= 1, "tag interval degenerated"
+            if quarter < 1:
+                raise RuntimeError("tag interval degenerated")
             prefix = m >> (ell - depth)
             span = width - 2 * quarter
             split = tlo + quarter + sk.split_fraction(depth, prefix) % span

@@ -248,6 +248,11 @@ def _hypothesis_error(state: ReidentState, hypothesis, rng) -> float:
     return empirical_error(hypothesis, state.concept, dist, 2000, rng)
 
 
+def _share(rows: list, pred) -> float:
+    """Share of rows satisfying pred; nan when there are no rows."""
+    return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
+
+
 @dataclass
 class CompletenessReport:
     trials: int
@@ -257,23 +262,19 @@ class CompletenessReport:
 
     @property
     def p_good(self) -> float:
-        return sum(r["good"] for r in self.rows) / len(self.rows)
+        return _share(self.rows, lambda r: r["good"])
 
     @property
     def p_good_and_untraced(self) -> float:
-        return sum(r["good"] and r["accused"] is None for r in self.rows) / len(
-            self.rows
-        )
+        return _share(self.rows, lambda r: r["good"] and r["accused"] is None)
 
     @property
     def p_accused(self) -> float:
-        return sum(r["accused"] is not None for r in self.rows) / len(self.rows)
+        return _share(self.rows, lambda r: r["accused"] is not None)
 
     def p_accused_well_spaced(self) -> float:
         ws = [r for r in self.rows if r["well_spaced"]]
-        if not ws:
-            return float("nan")
-        return sum(r["accused"] is not None for r in ws) / len(ws)
+        return _share(ws, lambda r: r["accused"] is not None)
 
 
 def completeness_experiment(
@@ -321,13 +322,11 @@ class SoundnessReport:
 
     @property
     def p_accuse_dropped(self) -> float:
-        return sum(r["accused"] == self.drop_index for r in self.rows) / len(self.rows)
+        return _share(self.rows, lambda r: r["accused"] == self.drop_index)
 
     def p_accuse_dropped_well_spaced(self) -> float:
         ws = [r for r in self.rows if r["well_spaced"]]
-        if not ws:
-            return float("nan")
-        return sum(r["accused"] == self.drop_index for r in ws) / len(ws)
+        return _share(ws, lambda r: r["accused"] == self.drop_index)
 
 
 def soundness_experiment(

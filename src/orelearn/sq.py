@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .core import BOT, KeyMaterial, OreScheme, PublicParams
+from .core import BOT, CheckReport, KeyMaterial, OreScheme, PublicParams, mutate_ciphertext
 from .encthresh import (
     AllZeroesHypothesis,
     DecryptThresholdHypothesis,
@@ -249,8 +249,6 @@ def check_key_equivalence(
     fuzzed corpus (mutants and random bytes).  Exhaustive over the domain,
     so restricted to ell <= 12.
     """
-    from .core import CheckReport
-
     if scheme.ell > 12:
         raise ValueError("domain sweep restricted to ell <= 12")
     report = CheckReport()
@@ -270,14 +268,6 @@ def check_key_equivalence(
         compare_on(scheme.enc(sk2, m), "enc-sk2")
     for _ in range(fuzz_trials):
         m = int(rng.integers(0, scheme.domain_size))
-        ct = bytearray(scheme.enc(sk1, m))
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            pos = int(rng.integers(0, len(ct) * 8))
-            ct[pos // 8] ^= 1 << (pos % 8)
-            compare_on(bytes(ct), "bitflip")
-        elif kind == 1:
-            compare_on(bytes(ct[: int(rng.integers(0, len(ct)))]), "truncate")
-        else:
-            compare_on(bytes(rng.bytes(len(ct))), "random")
+        kind = ("bitflip", "truncate", "random")[int(rng.integers(0, 3))]
+        compare_on(mutate_ciphertext(scheme.enc(sk1, m), kind, rng), kind)
     return report

@@ -33,6 +33,7 @@ length-prefixed fields (params', sigma, c') in that order.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -59,7 +60,6 @@ __all__ = [
     "StrengthenedOre",
     "StrongSecretKey",
     "StrongParams",
-    "strengthen",
     "STRONG_VERSION",
 ]
 
@@ -115,7 +115,6 @@ class SignatureCertifier:
     """Certificates are Ed25519 signatures over the statement encoding."""
 
     name = "signature"
-    perfectly_sound = False
 
     def setup(self, base: OreScheme, base_sk, seed: bytes):
         sk = Ed25519PrivateKey.from_private_bytes(
@@ -133,7 +132,7 @@ class _SignatureProvingKey:
     def __init__(self, sk: Ed25519PrivateKey):
         self.sk = sk
 
-    def certify(self, statement: bytes, witness=None) -> bytes:
+    def certify(self, statement: bytes) -> bytes:
         return self.sk.sign(statement)
 
 
@@ -168,7 +167,6 @@ class EscrowCertifier:
     """
 
     name = "escrow"
-    perfectly_sound = True
 
     def setup(self, base: OreScheme, base_sk, seed: bytes):
         return _EscrowProvingKey(), _EscrowVerifyKey(base, base_sk)
@@ -179,7 +177,7 @@ class _EscrowProvingKey:
 
     needs_statement = False
 
-    def certify(self, statement: bytes, witness=None) -> bytes:
+    def certify(self, statement: bytes) -> bytes:
         return b""
 
 
@@ -214,6 +212,7 @@ class _EscrowVerifyKey:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
 class StrongSecretKey:
     """Base key plus commitment opening and both certifier keys.
 
@@ -222,32 +221,21 @@ class StrongSecretKey:
     check certificates without touching public parameters.
     """
 
-    __slots__ = ("base_sk", "base_params", "sigma", "commit_rand", "proving_key", "cert_vk")
-
-    def __init__(self, base_sk, base_params, sigma, commit_rand, proving_key, cert_vk):
-        self.base_sk = base_sk
-        self.base_params = base_params
-        self.sigma = sigma
-        self.commit_rand = commit_rand
-        self.proving_key = proving_key
-        self.cert_vk = cert_vk
+    base_sk: object
+    base_params: PublicParams
+    sigma: bytes
+    commit_rand: bytes
+    proving_key: object
+    cert_vk: object
 
 
+@dataclass(frozen=True, eq=False)  # equality and hashing stay on (data, ell)
 class StrongParams(PublicParams):
     """(base params, key commitment, certificate verification key)."""
 
-    def __new__(cls, base_params: PublicParams, sigma: bytes, cert_vk):
-        data = encode_blob(base_params.data, sigma, cert_vk.serialize())
-        self = object.__new__(cls)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "ell", base_params.ell)
-        object.__setattr__(self, "base_params", base_params)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "cert_vk", cert_vk)
-        return self
-
-    def __init__(self, *args, **kwargs):  # fields set in __new__
-        pass
+    base_params: PublicParams
+    sigma: bytes
+    cert_vk: object
 
 
 class StrengthenedOre(OreScheme):
@@ -277,7 +265,13 @@ class StrengthenedOre(OreScheme):
         sk = StrongSecretKey(
             base_key.sk, base_key.params, sigma, commit_rand, proving_key, cert_vk
         )
-        params = StrongParams(base_key.params, sigma, cert_vk)
+        params = StrongParams(
+            data=encode_blob(base_key.params.data, sigma, cert_vk.serialize()),
+            ell=base_key.params.ell,
+            base_params=base_key.params,
+            sigma=sigma,
+            cert_vk=cert_vk,
+        )
         return KeyMaterial(sk=sk, params=params, coins=coins)
 
     def params_len(self) -> int:
@@ -292,10 +286,11 @@ class StrengthenedOre(OreScheme):
             stmt = statement_bytes(sk.base_params.data, sk.sigma, base_ct)
         else:
             stmt = b""
-        cert = sk.proving_key.certify(stmt, witness=(m, sk.base_sk, sk.commit_rand))
+        cert = sk.proving_key.certify(stmt)
         return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
 
-    def _parse(self, ct: bytes):
+    def parse(self, ct: bytes):
+        """Split a ciphertext into (base ciphertext, certificate); None if malformed."""
         if len(ct) < 2 or ct[0] != STRONG_VERSION or ct[1] != self.ell:
             return None
         fields = decode_blob(ct[2:], 2)
@@ -319,7 +314,7 @@ class StrengthenedOre(OreScheme):
         return ok
 
     def dec(self, sk: StrongSecretKey, ct: bytes):
-        parsed = self._parse(ct)
+        parsed = self.parse(ct)
         if parsed is None:
             return BOT
         base_ct, cert = parsed
@@ -329,8 +324,8 @@ class StrengthenedOre(OreScheme):
         return self.base.dec(sk.base_sk, base_ct)
 
     def comp(self, params: StrongParams, c0: bytes, c1: bytes):
-        p0 = self._parse(c0)
-        p1 = self._parse(c1)
+        p0 = self.parse(c0)
+        p1 = self.parse(c1)
         if p0 is None or p1 is None:
             return BOT
         for base_ct, cert in (p0, p1):
@@ -338,8 +333,3 @@ class StrengthenedOre(OreScheme):
             if not self._verify(params.cert_vk, stmt, cert):
                 return BOT
         return self.base.comp(params.base_params, p0[0], p1[0])
-
-
-def strengthen(base: OreScheme, certifier) -> StrengthenedOre:
-    """Wrap a weakly correct base scheme into a strongly correct one."""
-    return StrengthenedOre(base, certifier)

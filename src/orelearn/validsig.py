@@ -32,7 +32,6 @@ __all__ = [
     "Ed25519Scheme",
     "SigTriple",
     "ValidSigConcept",
-    "evaluate_validsig",
     "validsig_learn",
     "validsig_gen_ex",
     "validsig_sample_without",
@@ -97,10 +96,6 @@ class ValidSigConcept:
         if x.vk != self.vk:
             return 0
         return 1 if self.sig_scheme.ver(self.vk, x.message, x.sig) else 0
-
-
-def evaluate_validsig(concept: ValidSigConcept, x: SigTriple) -> int:
-    return concept.evaluate(x)
 
 
 def validsig_learn(samples: Sequence[tuple[SigTriple, int]]) -> "SigTriple | None":

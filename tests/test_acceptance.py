@@ -8,6 +8,9 @@ counts capped), which is permitted and labeled: reports carry
 k_conforming=False.
 """
 
+import hashlib
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -24,7 +27,6 @@ from orelearn.core import (
 from orelearn.encthresh import (
     DISTRIBUTION_FAMILIES,
     PointMassDistribution,
-    exact_error,
     labeled_sample,
     make_distribution,
     pac_learn,
@@ -48,7 +50,7 @@ from orelearn.reident import (
     soundness_experiment,
 )
 from orelearn.sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
-from orelearn.strengthen import EscrowCertifier, SignatureCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from orelearn.validsig import (
     Ed25519Scheme,
     SigExampleDistribution,
@@ -61,6 +63,7 @@ from orelearn.validsig import (
 )
 
 SEED = 74205
+_GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = ""):
@@ -84,11 +87,11 @@ def test_c01_strong_correctness_identity():
     start = time.perf_counter()
     rng = _rng(1)
 
-    escrow = strengthen(OpfOre(ell=16), EscrowCertifier())
+    escrow = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
     key_e = escrow.gen(rng)
     rep_e = check_strong_correctness(escrow, key_e, trials=10_000, rng=rng)
 
-    sig = strengthen(OpfOre(ell=16), SignatureCertifier())
+    sig = StrengthenedOre(OpfOre(ell=16), SignatureCertifier())
     key_s = sig.gen(rng)
     rep_s = check_strong_correctness(sig, key_s, trials=10_000, rng=rng)
 
@@ -168,7 +171,7 @@ def test_c03_pac_error_bound():
     alpha = beta = 0.05
     n = required_sample_size(alpha, beta)
     assert n == 60
-    scheme = strengthen(OpfOre(ell=32), EscrowCertifier())
+    scheme = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
     trials = 200
     rates = {}
     one_sided_every_trial = True
@@ -180,7 +183,7 @@ def test_c03_pac_error_bound():
             dist = make_distribution(family, concept, rng)
             sample = labeled_sample(concept, dist, n, rng)
             hypothesis = pac_learn(scheme, sample)
-            err = exact_error(hypothesis, concept, dist)
+            err = dist.exact_error(hypothesis, concept)
             good += err <= alpha
             probes = [x for x, _ in sample] + [dist.sample(rng) for _ in range(50)]
             if any(hypothesis.evaluate(x) > concept.evaluate(x) for x in probes):
@@ -206,7 +209,7 @@ _TRACE_SCHEME = None
 def _trace_scheme():
     global _TRACE_SCHEME
     if _TRACE_SCHEME is None:
-        _TRACE_SCHEME = strengthen(OpfOre(ell=32), EscrowCertifier())
+        _TRACE_SCHEME = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
     return _TRACE_SCHEME
 
 
@@ -370,7 +373,7 @@ def test_c08_estimator_constant_and_concentration():
 
     # concentration: all n+1 buckets simultaneously within gamma/(4n) of
     # exactly computable per-bucket rates, with frequency >= 1 - xi/2
-    scheme = strengthen(OpfOre(ell=12), EscrowCertifier())
+    scheme = StrengthenedOre(OpfOre(ell=12), EscrowCertifier())
     n, gamma, xi = 8, 0.8, 0.5
     tol = gamma / (4 * n)
     k_exact = concentration_sample_count(n, gamma, xi)
@@ -456,7 +459,7 @@ def test_c09_dp_bound_calculator():
 def test_c10_sq_learner():
     start = time.perf_counter()
     alpha = 0.05
-    scheme = strengthen(OpfOre(ell=16), EscrowCertifier())
+    scheme = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
     bound = 1 + 8 * scheme.params_len() + 16
     every_trial_ok = True
     for trial in range(50):
@@ -474,7 +477,7 @@ def test_c10_sq_learner():
             every_trial_ok = False
 
     # genuine exhaustive search over a tiny coin space, exercised once
-    tiny_scheme = strengthen(OpfOre(ell=10, coin_len=2), EscrowCertifier())
+    tiny_scheme = StrengthenedOre(OpfOre(ell=10, coin_len=2), EscrowCertifier())
     rng = derive_trial_rng(SEED, 999, b"c10")
     concept = random_concept(tiny_scheme, rng, t=700)
     ms = rng.choice(tiny_scheme.domain_size, size=128, replace=False)
@@ -576,12 +579,16 @@ def test_c11_validsig():
 
 
 def test_c12_determinism():
+    """Re-runs give identical CSV bodies, and each body matches the SHA-256
+    pinned for the same config in perfbench/goldens.json."""
     start = time.perf_counter()
-    configs = [
-        {"experiment": "correctness", "ell": 16, "trials": 800, "seed": 11},
-        {"experiment": "correctness", "ell": 16, "trials": 400, "seed": 11, "certifier": "signature"},
-        {"experiment": "pac", "ell": 16, "trials": 10, "seed": 11, "dist": "all"},
-        {
+    configs = {
+        "c12-correctness-escrow": {"experiment": "correctness", "ell": 16, "trials": 800, "seed": 11},
+        "c12-correctness-signature": {
+            "experiment": "correctness", "ell": 16, "trials": 400, "seed": 11, "certifier": "signature",
+        },
+        "c12-pac-all": {"experiment": "pac", "ell": 16, "trials": 10, "seed": 11, "dist": "all"},
+        "c12-trace-completeness": {
             "experiment": "trace",
             "mode": "completeness",
             "ell": 32,
@@ -590,7 +597,7 @@ def test_c12_determinism():
             "seed": 11,
             "k_cap": 120,
         },
-        {
+        "c12-trace-soundness": {
             "experiment": "trace",
             "mode": "soundness",
             "ell": 32,
@@ -600,26 +607,34 @@ def test_c12_determinism():
             "seed": 11,
             "k_cap": 120,
         },
-        {"experiment": "games", "mode": "random", "ell": 16, "trials": 300, "seed": 11},
-        {"experiment": "games", "mode": "synthetic", "trials": 20_000, "seed": 11},
-        {"experiment": "hybrid", "left": [1, 5, 9], "right": [2, 5, 8], "ell": 4},
-        {"experiment": "sq", "ell": 12, "trials": 3, "seed": 11},
-        {"experiment": "validsig", "mode": "learn", "ell": 64, "trials": 10, "seed": 11},
-        {"experiment": "validsig", "mode": "forge", "ell": 64, "trials": 10, "seed": 11},
-    ]
+        "c12-games-random": {"experiment": "games", "mode": "random", "ell": 16, "trials": 300, "seed": 11},
+        "c12-games-synthetic": {"experiment": "games", "mode": "synthetic", "trials": 20_000, "seed": 11},
+        "c12-hybrid": {"experiment": "hybrid", "left": [1, 5, 9], "right": [2, 5, 8], "ell": 4},
+        "c12-sq": {"experiment": "sq", "ell": 12, "trials": 3, "seed": 11},
+        "c12-validsig-learn": {"experiment": "validsig", "mode": "learn", "ell": 64, "trials": 10, "seed": 11},
+        "c12-validsig-forge": {"experiment": "validsig", "mode": "forge", "ell": 64, "trials": 10, "seed": 11},
+    }
+    goldens = json.loads(_GOLDENS.read_text())["configs"]
     ok = True
-    for raw in configs:
+    mismatched = []
+    for name, raw in configs.items():
         cfg = ExperimentConfig.from_dict(raw)
         first, second = run(cfg), run(cfg)
         if first.csv_trials() != second.csv_trials():
             ok = False
         if first.csv_summary() != second.csv_summary():
             ok = False
+        digests = {
+            "trials": hashlib.sha256(first.csv_trials().encode()).hexdigest(),
+            "summary": hashlib.sha256(first.csv_summary().encode()).hexdigest(),
+        }
+        if digests != goldens[name]:
+            mismatched.append(name)
     elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 600
+    ok = ok and not mismatched and elapsed < 600
     _criterion(
         12,
-        "determinism (identical configs, identical CSV bodies)",
+        "determinism (identical configs, identical CSV bodies, pinned digests)",
         ok,
-        f"configs={len(configs)} t={elapsed:.0f}s",
+        f"configs={len(configs)} golden_mismatches={mismatched} t={elapsed:.0f}s",
     )

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from orelearn.core import (
     compare_ints,
     decode_blob,
     encode_blob,
+    mutate_ciphertext,
 )
 from orelearn.opf import OpfOre
 
@@ -154,6 +156,19 @@ def test_strong_correctness_checker_counts_by_class(rng):
     assert sum(report.counts_by_class.values()) == len(report.failures)
     # honest pairs never disagree for a weakly correct scheme
     assert report.counts_by_class.get("valid+valid", 0) == 0
+
+
+@given(st.binary(min_size=1, max_size=64), st.integers(0, 2**32 - 1))
+def test_mutate_ciphertext_classes(ct, seed):
+    flipped = mutate_ciphertext(ct, "bitflip", np.random.default_rng(seed))
+    assert len(flipped) == len(ct)
+    assert sum(bin(a ^ b).count("1") for a, b in zip(ct, flipped)) == 1
+    cut = mutate_ciphertext(ct, "truncate", np.random.default_rng(seed))
+    assert len(cut) < len(ct) and ct.startswith(cut)
+    noise = mutate_ciphertext(ct, "random", np.random.default_rng(seed))
+    assert 1 <= len(noise) < len(ct) + 16
+    with pytest.raises(ValueError):
+        mutate_ciphertext(ct, "valid", np.random.default_rng(seed))
 
 
 def test_determinism_fixed_coins():

@@ -14,7 +14,6 @@ from orelearn.encthresh import (
     UniformValidDistribution,
     WrongParamsMixtureDistribution,
     empirical_error,
-    exact_error,
     labeled_sample,
     make_distribution,
     pac_learn,
@@ -22,11 +21,11 @@ from orelearn.encthresh import (
     required_sample_size,
 )
 from orelearn.opf import OpfOre
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 
 def _scheme(ell=8):
-    return strengthen(OpfOre(ell=ell), EscrowCertifier())
+    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
 
 
 def _concept(rng, ell=8, t=None):
@@ -182,7 +181,7 @@ def test_exact_error_matches_empirical_uniform(rng):
     dist = UniformValidDistribution(concept)
     sample = labeled_sample(concept, dist, 40, rng)
     h = pac_learn(concept.scheme, sample)
-    exact = exact_error(h, concept, dist)
+    exact = dist.exact_error(h, concept)
     emp = empirical_error(h, concept, dist, 4000, rng)
     assert abs(exact - emp) < 0.03
 
@@ -229,5 +228,5 @@ def test_error_bound_smoke_uniform(rng):
         concept = random_concept(scheme, rng)
         dist = UniformValidDistribution(concept)
         h = pac_learn(scheme, labeled_sample(concept, dist, n, rng))
-        good += exact_error(h, concept, dist) <= alpha
+        good += dist.exact_error(h, concept) <= alpha
     assert good / trials >= 0.85

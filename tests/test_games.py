@@ -11,8 +11,8 @@ from orelearn.games import (
     EscrowKeyLeakAdversary,
     PayloadBitAdversary,
     RandomGuessAdversary,
+    ReductionAdversary,
     SingleChallenge,
-    adversary_from_learner,
     adversary_success_prob,
     hybrid_schedule,
     run_single_challenge_game,
@@ -20,11 +20,11 @@ from orelearn.games import (
     synthetic_reduction_win_rate,
 )
 from orelearn.opf import OpfOre
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 
 
 def _scheme(ell=16):
-    return strengthen(OpfOre(ell=ell), EscrowCertifier())
+    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
 
 
 # -- challenge validation ------------------------------------------------------
@@ -192,10 +192,19 @@ def test_payload_adversary_has_no_advantage(rng):
 def test_escrow_leak_adversary_wins(rng):
     # negative control: the harness must detect a broken (leaky) scheme
     base = OpfOre(ell=16)
-    scheme = strengthen(base, EscrowCertifier())
+    scheme = StrengthenedOre(base, EscrowCertifier())
     pair = ChallengePair((100, 200), (150, 250))
     report = run_static_game(scheme, EscrowKeyLeakAdversary(base, pair), 200, rng)
     assert report.advantage >= 0.9
+
+
+def test_escrow_leak_adversary_rejects_non_escrow_params(rng):
+    base = OpfOre(ell=16)
+    adversary = EscrowKeyLeakAdversary(base, ChallengePair((100, 200), (150, 250)))
+    for scheme in (base, StrengthenedOre(base, SignatureCertifier())):
+        key = scheme.gen(rng)
+        with pytest.raises(ValueError):
+            adversary.guess(key.params, [scheme.enc(key.sk, 100)], rng)
 
 
 def test_single_challenge_random_guesser(rng):
@@ -212,7 +221,7 @@ def test_single_challenge_random_guesser(rng):
 
 def test_single_challenge_leaked_key_decryptor_wins(rng):
     base = OpfOre(ell=16)
-    scheme = strengthen(base, EscrowCertifier())
+    scheme = StrengthenedOre(base, EscrowCertifier())
 
     class Decryptor:
         def choose_challenge(self, rng):
@@ -243,7 +252,7 @@ def test_reduction_adversary_builds_the_replaced_sample(rng):
         captured["sample"] = sample
         return pac_learn(scheme, sample)
 
-    adversary = adversary_from_learner(scheme, spy_learner, n, j_star)
+    adversary = ReductionAdversary(scheme, spy_learner, n, j_star)
     challenge = adversary.choose_challenge(rng)
     challenge.validate(scheme.domain_size)
     assert len(challenge.left) == n + 2
@@ -269,7 +278,7 @@ def test_reduction_adversary_handles_cramped_domains(rng):
     # tiny domain: draws are essentially never well-spaced; the adversary
     # must still emit a valid challenge and fall back to random guessing
     scheme = _scheme(ell=4)
-    adversary = adversary_from_learner(scheme, lambda s: None, 8, 3)
+    adversary = ReductionAdversary(scheme, lambda s: None, 8, 3)
     challenge = adversary.choose_challenge(rng)
     challenge.validate(scheme.domain_size)
     assert adversary.transcript_flags["degenerate"]
@@ -283,7 +292,7 @@ def test_reduction_with_honest_learner_meets_theory_floor(rng):
     scheme = _scheme(ell=32)
     n = 20
     learner = lambda sample: pac_learn(scheme, sample)
-    adversary = adversary_from_learner(scheme, learner, n, j_star=7)
+    adversary = ReductionAdversary(scheme, learner, n, j_star=7)
     report = run_static_game(scheme, adversary, 400, rng)
     gamma = 0.45
     floor = gamma**2 / (8 * n**2)
@@ -297,7 +306,7 @@ def test_constant_hypothesis_gives_no_advantage(rng):
         def evaluate(self, x):
             return 0
 
-    adversary = adversary_from_learner(scheme, lambda s: Zero(), 10, 5)
+    adversary = ReductionAdversary(scheme, lambda s: Zero(), 10, 5)
     report = run_static_game(scheme, adversary, 600, rng)
     # agreement always holds, so the guess is constantly "left"
     assert report.p_guess1_given_b0 == 0.0 and report.p_guess1_given_b1 == 0.0
@@ -306,9 +315,9 @@ def test_constant_hypothesis_gives_no_advantage(rng):
 def test_reduction_rejects_bad_index():
     scheme = _scheme(ell=16)
     with pytest.raises(ValueError):
-        adversary_from_learner(scheme, lambda s: None, 10, 0)
+        ReductionAdversary(scheme, lambda s: None, 10, 0)
     with pytest.raises(ValueError):
-        adversary_from_learner(scheme, lambda s: None, 10, 11)
+        ReductionAdversary(scheme, lambda s: None, 10, 11)
 
 
 def test_game_runner_reproducible_and_scheme_unmutated():

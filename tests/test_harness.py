@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelearn.harness import (
     CSV_SCHEMA_VERSION,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     derive_trial_rng,
@@ -53,8 +55,9 @@ def test_soundness_requires_drop_index():
 
 
 def test_hybrid_requires_vectors():
-    with pytest.raises(ConfigError):
-        _cfg(experiment="hybrid")
+    for bad in ({}, {"left": [1, 2], "right": [1]}, {"left": [1, 20], "right": [2, 3]}):
+        with pytest.raises(ConfigError):
+            _cfg(experiment="hybrid", ell=4, **bad)
     _cfg(experiment="hybrid", left=[1, 2], right=[0, 3])
 
 
@@ -62,18 +65,76 @@ def test_range_validation():
     for bad in (
         {"ell": 0},
         {"ell": 65},
+        {"ell": 63},  # past pac's largest workable ell
         {"alpha": 0.0},
         {"beta": 1.0},
         {"gamma": 0.6},
         {"xi": 0.0},
+        {"eps": -1.0},
         {"trials": -1},
+        {"seed": -1},
+        {"seed": 1 << 64},
+        {"k_cap": 0},
         {"scheme": "rot13"},
         {"certifier": "notary"},
         {"dist": "cauchy"},
         {"keyspace": "huge"},
+        # mistyped values: ints are valid floats, but bools are not ints
+        {"n": "5"},
+        {"seed": True},
+        {"trials": 2.0},
+        {"alpha": "0.1"},
+        {"alpha": False},
+        {"transcripts": 1},
+        {"mode": 3},
+        {"k_cap": 1.5},
+        {"left": [1, True]},
+        {"left": "1,2"},
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             _cfg(experiment="pac", **bad)
+        assert err.value.field_path == next(iter(bad))
+    _cfg(experiment="pac", eps=1, seed=(1 << 64) - 1, k_cap=1)
+
+
+def test_ell_limit_per_experiment_mode():
+    for experiment, mode, limit in (
+        ("pac", None, 62),
+        ("sq", "jitter", 62),
+        ("correctness", None, 63),
+        ("trace", "completeness", 63),
+        ("games", "reduction", 63),
+        ("games", "random", 64),
+        ("validsig", "forge", 64),
+    ):
+        _cfg(experiment=experiment, mode=mode, ell=limit)
+        with pytest.raises(ConfigError) as err:
+            _cfg(experiment=experiment, mode=mode, ell=limit + 1)
+        assert err.value.field_path == "ell"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(EXPERIMENTS),
+    st.dictionaries(
+        st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)) | st.text(max_size=4),
+        _JSON_VALUES,
+    ),
+)
+def test_any_json_object_gives_a_config_or_a_config_error(experiment, raw):
+    try:
+        cfg = ExperimentConfig.from_dict({"experiment": experiment, **raw})
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    cfg.config_hash()
 
 
 def test_canonical_json_and_hash_stable():
@@ -138,9 +199,14 @@ def test_rerun_reproduces_identical_csv_bodies():
 
 
 def test_zero_trials_is_an_empty_success():
-    report = run(ExperimentConfig.from_dict({"experiment": "pac", "ell": 10, "trials": 0}))
-    assert report.rows == []
-    assert report.passed is None
+    for raw in (
+        {"experiment": "pac", "ell": 10, "trials": 0},
+        {"experiment": "trace", "mode": "completeness", "n": 4, "trials": 0},
+        {"experiment": "trace", "mode": "soundness", "n": 4, "drop_index": 1, "trials": 0},
+    ):
+        report = run(ExperimentConfig.from_dict(raw))
+        assert report.rows == []
+        assert report.passed is None
 
 
 def test_csv_headers_are_versioned_and_pinned():

@@ -23,11 +23,11 @@ from orelearn.reident import (
     soundness_experiment,
     trace_ex,
 )
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 
 def _scheme(ell=24):
-    return strengthen(OpfOre(ell=ell), EscrowCertifier())
+    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
 
 
 # -- generation ----------------------------------------------------------------

@@ -21,11 +21,11 @@ from orelearn.sq import (
     sq_learn,
     tolerance_floor,
 )
-from orelearn.strengthen import EscrowCertifier, strengthen
+from orelearn.strengthen import EscrowCertifier, StrengthenedOre
 
 
 def _scheme(ell=10, coin_len=32):
-    return strengthen(OpfOre(ell=ell, coin_len=coin_len), EscrowCertifier())
+    return StrengthenedOre(OpfOre(ell=ell, coin_len=coin_len), EscrowCertifier())
 
 
 def _uniform_support_dist(concept, size, rng):

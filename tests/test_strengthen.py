@@ -15,19 +15,19 @@ from orelearn.opf import OpfOre, forge_spliced_ciphertext
 from orelearn.strengthen import (
     EscrowCertifier,
     SignatureCertifier,
+    StrengthenedOre,
     binding_check,
     commit,
     statement_bytes,
-    strengthen,
 )
 
 
 def _escrow_scheme(ell=8):
-    return strengthen(OpfOre(ell=ell), EscrowCertifier())
+    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
 
 
 def _sig_scheme(ell=8):
-    return strengthen(OpfOre(ell=ell), SignatureCertifier())
+    return StrengthenedOre(OpfOre(ell=ell), SignatureCertifier())
 
 
 # -- commitment --------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_escrow_rejects_random_bytes(rng):
 
 def test_escrow_rejects_the_spliced_forgery_witness(rng):
     base = OpfOre(ell=8)
-    scheme = strengthen(base, EscrowCertifier())
+    scheme = StrengthenedOre(base, EscrowCertifier())
     key = scheme.gen(rng)
     witness = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
     stmt = statement_bytes(key.sk.base_params.data, key.sk.sigma, witness)
@@ -152,7 +152,7 @@ def test_comp_with_stripped_certificate_agrees_with_comp_ciph(make, rng):
 
 def test_delegation_on_honest_pairs_matches_base(rng):
     base = OpfOre(ell=8)
-    scheme = strengthen(base, EscrowCertifier())
+    scheme = StrengthenedOre(base, EscrowCertifier())
     key = scheme.gen(rng)
     base_key_sk = key.sk.base_sk
     for _ in range(300):
