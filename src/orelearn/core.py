@@ -185,11 +185,21 @@ class OreScheme:
     def enc(self, sk, m: int) -> bytes:
         raise NotImplementedError
 
+    def enc_many(self, sk, ms: Sequence[int]) -> list[bytes]:
+        """``[self.enc(sk, m) for m in ms]``; schemes may batch the work but
+        must return the same bytes."""
+        return [self.enc(sk, m) for m in ms]
+
     def dec(self, sk, ct: bytes) -> "int | Bot":
         raise NotImplementedError
 
     def comp(self, params: PublicParams, c0: bytes, c1: bytes) -> "Ordering3 | Bot":
         raise NotImplementedError
+
+    def comp_many(self, params: PublicParams, cts: Sequence[bytes], c1: bytes) -> list:
+        """``[self.comp(params, c0, c1) for c0 in cts]``: many ciphertexts
+        against one; schemes may batch the work but must return the same."""
+        return [self.comp(params, c0, c1) for c0 in cts]
 
     def params_len(self) -> int:
         """Byte length of ``params.data``, fixed for a given (lam, ell)."""

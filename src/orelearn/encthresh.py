@@ -47,6 +47,7 @@ __all__ = [
     "PointMassDistribution",
     "make_distribution",
     "DISTRIBUTION_FAMILIES",
+    "POINT_MASS_POINTS",
 ]
 
 
@@ -126,6 +127,20 @@ class ComparatorHypothesis:
             return 0
         r = self.scheme.comp(self.params, example.ct, self.anchor)
         return 1 if (r is Ordering3.LT or r is Ordering3.EQ) else 0
+
+    def evaluate_many(self, examples: Sequence[Example]) -> list[int]:
+        """``[self.evaluate(x) for x in examples]``, comparing the examples
+        under these params against the anchor in one ``comp_many`` batch."""
+        own = [x.params == self.params for x in examples]
+        verdicts = iter(
+            self.scheme.comp_many(
+                self.params, [x.ct for x, ok in zip(examples, own) if ok], self.anchor
+            )
+        )
+        return [
+            1 if ok and next(verdicts) in (Ordering3.LT, Ordering3.EQ) else 0
+            for ok in own
+        ]
 
     def describe(self) -> dict:
         return {
@@ -377,6 +392,7 @@ class PointMassDistribution:
 
 
 DISTRIBUTION_FAMILIES = ("uniform", "malformed", "wrongparams", "pointmass")
+POINT_MASS_POINTS = 8  # distinct messages carrying the pointmass family
 
 
 def make_distribution(
@@ -391,9 +407,8 @@ def make_distribution(
         decoy = concept.scheme.gen(rng)
         return WrongParamsMixtureDistribution(concept, decoy)
     if family == "pointmass":
-        n_points = 8
-        ms = rng.choice(concept.scheme.domain_size, size=n_points, replace=False)
+        ms = rng.choice(concept.scheme.domain_size, size=POINT_MASS_POINTS, replace=False)
         points = [concept.encrypt_example(int(m)) for m in ms]
-        weights = rng.dirichlet(np.ones(n_points)).tolist()
+        weights = rng.dirichlet(np.ones(POINT_MASS_POINTS)).tolist()
         return PointMassDistribution(points, weights)
     raise ValueError(f"unknown distribution family {family!r}")

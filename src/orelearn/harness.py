@@ -27,6 +27,7 @@ from . import __version__
 from .core import check_strong_correctness, check_weak_correctness
 from .encthresh import (
     DISTRIBUTION_FAMILIES,
+    POINT_MASS_POINTS,
     PointMassDistribution,
     labeled_sample,
     make_distribution,
@@ -75,17 +76,28 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = "orelearn.csv.v1"
 
-# experiment -> {mode: largest workable ell}; the first mode is the default.
-# The limits are where numpy's int64 draws end: rng.integers(0, 2**ell + 1)
-# needs ell <= 62 and rng.integers(0, 2**ell) needs ell <= 63.
+# experiment -> {mode: (smallest, largest) workable ell}; the first mode is
+# the default.  The largest is where numpy's int64 draws end:
+# rng.integers(0, 2**ell + 1) needs ell <= 62 and rng.integers(0, 2**ell)
+# needs ell <= 63.  The smallest keeps the games' fixed challenges in the
+# domain and distinct: random plays (0, 1, 2, 3); payload and leak play
+# left = lo + i * span // 4 against right = left + span // 8, which collide
+# below ell 4.  Reduction's bound depends on n (2**ell >= n + 2), so
+# validate checks it.
 _MODES = {
-    "correctness": {None: 63},
-    "pac": {None: 62},
-    "trace": {"completeness": 63, "soundness": 63},
-    "games": {"random": 64, "payload": 64, "leak": 64, "reduction": 63, "synthetic": 64},
-    "hybrid": {None: 64},
-    "sq": {None: 62, "exact": 62, "jitter": 62},  # statistical-query oracle answer mode
-    "validsig": {"learn": 64, "trace": 64, "forge": 64},
+    "correctness": {None: (1, 63)},
+    "pac": {None: (1, 62)},
+    "trace": {"completeness": (1, 63), "soundness": (1, 63)},
+    "games": {
+        "random": (2, 64),
+        "payload": (4, 64),
+        "leak": (4, 64),
+        "reduction": (1, 63),
+        "synthetic": (1, 64),
+    },
+    "hybrid": {None: (1, 64)},
+    "sq": {None: (1, 62), "exact": (1, 62), "jitter": (1, 62)},  # statistical-query oracle answer mode
+    "validsig": {"learn": (1, 64), "trace": (1, 64), "forge": (1, 64)},
 }
 EXPERIMENTS = tuple(_MODES)
 _SCHEMES = ("opf", "strengthened")
@@ -160,9 +172,10 @@ class ExperimentConfig:
         modes = _MODES[self.experiment]
         if self.mode not in modes:
             raise ConfigError("mode", f"must be one of {tuple(modes)}")
-        if not (1 <= self.ell <= modes[self.mode]):
+        lo, hi = modes[self.mode]
+        if not (lo <= self.ell <= hi):
             raise ConfigError(
-                "ell", f"must be in [1, {modes[self.mode]}] for {self.experiment} mode {self.mode}"
+                "ell", f"must be in [{lo}, {hi}] for {self.experiment} mode {self.mode}"
             )
         if not (0 <= self.seed < 1 << 64):
             raise ConfigError("seed", "must be in [0, 2**64)")
@@ -190,6 +203,14 @@ class ExperimentConfig:
         ):
             if getattr(self, name) not in allowed:
                 raise ConfigError(name, f"must be one of {allowed}")
+        if self.experiment == "pac" and self.dist in ("pointmass", "all"):
+            if 1 << self.ell < POINT_MASS_POINTS:
+                raise ConfigError(
+                    "ell", f"pointmass needs 2**ell >= {POINT_MASS_POINTS} distinct messages"
+                )
+        if self.mode == "reduction" and 1 << self.ell < self.n + 2:
+            # a degenerate reduction trial plays the filler (0, ..., n + 1)
+            raise ConfigError("ell", "games mode reduction needs 2**ell >= n + 2")
         if self.mode == "leak" and (self.scheme, self.certifier) != ("strengthened", "escrow"):
             raise ConfigError("mode", "leak adversary needs the escrow-strengthened scheme")
         if self.experiment == "trace" and self.mode == "soundness":

@@ -32,6 +32,7 @@ strengthening transformation requires a unique ciphertext per (sk, m).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 
 from .core import BOT, KeyMaterial, Ordering3, OreScheme, PublicParams, compare_ints
 
@@ -72,13 +73,17 @@ class OpfSecretKey:
     def __hash__(self):
         return hash((self.key, self.ell))
 
+    def node_fraction(self, depth: int, prefix: int) -> int:
+        """Pseudorandom 128-bit value for the descent node (depth, prefix)."""
+        h = self._h_tag.copy()
+        h.update(((depth << 64) | prefix).to_bytes(9, "big"))  # depth byte, 8-byte prefix
+        return int.from_bytes(h.digest(), "big")
+
     def split_fraction(self, depth: int, prefix: int) -> int:
-        """Pseudorandom 64-bit value for the descent node (depth, prefix)."""
+        """``node_fraction`` behind a bounded memo."""
         v = self._splits.get((depth, prefix))
         if v is None:
-            h = self._h_tag.copy()
-            h.update(depth.to_bytes(1, "big") + prefix.to_bytes(8, "big"))
-            v = int.from_bytes(h.digest(), "big")
+            v = self.node_fraction(depth, prefix)
             if len(self._splits) > (1 << 18):
                 self._splits.clear()
             self._splits[(depth, prefix)] = v
@@ -132,34 +137,89 @@ class OpfOre(OreScheme):
         cached = sk._tags.get(m)
         if cached is not None:
             return cached
-        tlo, thi = 0, 1 << self.tag_bits
+        t = self._descend(sk.split_fraction, m, 0, self.ell, 0, 1 << self.tag_bits)
+        return self._remember(sk, m, t)
+
+    def tag_many(self, sk: OpfSecretKey, ms) -> list[int]:
+        """Order tags of the sequence ms; equal to ``[self.tag(sk, m) for m in ms]``.
+
+        The distinct unmemoized messages, sorted, walk down one shared
+        descent: each (depth, prefix) node on their paths is hashed once per
+        batch, and a message alone in its subtree finishes its path in the
+        plain per-message loop.  Node hashes skip the ``split_fraction``
+        memo (the batch already shares them); tags go into the tag memo, so
+        a later ``tag`` or ``dec`` of the same message hits it.
+        """
+        for m in ms:
+            self._check_message(m)
+        tags = sk._tags
+        found = {m: tags[m] for m in ms if m in tags}
+        todo = sorted(set(ms).difference(found))
+        fraction, descend, ell = sk.node_fraction, self._descend, self.ell
+        # todo[lo:hi] all pass through the node at depth with tag interval [tlo, thi)
+        stack = [(0, len(todo), 0, 0, 1 << self.tag_bits)] if todo else []
+        while stack:
+            lo, hi, depth, tlo, thi = stack.pop()
+            if hi - lo == 1:
+                m = todo[lo]
+                found[m] = self._remember(sk, m, descend(fraction, m, depth, ell, tlo, thi))
+                continue
+            # two distinct messages share this node, so depth < ell; the
+            # smallest message of the domain that turns right here descends
+            # one level into the right child, whose tag interval starts at
+            # the split point
+            right = ((todo[lo] >> (ell - 1 - depth)) | 1) << (ell - 1 - depth)
+            split = descend(fraction, right, depth, depth + 1, tlo, thi)
+            mid = bisect_left(todo, right, lo, hi)
+            if mid < hi:
+                stack.append((mid, hi, depth + 1, split, thi))
+            if mid > lo:
+                stack.append((lo, mid, depth + 1, tlo, split))
+        return [found[m] for m in ms]
+
+    @staticmethod
+    def _remember(sk: OpfSecretKey, m: int, t: int) -> int:
+        """Store t as m's tag in the bounded tag memo; return t."""
+        if len(sk._tags) > (1 << 18):
+            sk._tags.clear()
+        sk._tags[m] = t
+        return t
+
+    def _descend(self, fraction, m: int, depth: int, stop: int, tlo: int, thi: int) -> int:
+        """Walk m from the node at depth, with tag interval [tlo, thi), down
+        to depth stop; return the low end of the tag interval reached.
+
+        ``fraction(depth, prefix)`` gives the node's pseudorandom value.  The
+        split point is confined to the middle half of the interval, which
+        keeps both children at least a quarter of the parent:
+        2**(3*ell) / 4**ell = 2**ell leaf intervals survive, so strict
+        monotonicity is unconditional.
+        """
         ell = self.ell
-        for depth in range(ell):
+        for d in range(depth, stop):
             width = thi - tlo
             quarter = width >> 2
-            # split point confined to the middle half keeps both children
-            # at least a quarter of the parent: 2**(3*ell) / 4**ell = 2**ell
-            # leaf intervals survive, so strict monotonicity is unconditional.
             if quarter < 1:
                 raise RuntimeError("tag interval degenerated")
-            prefix = m >> (ell - depth)
-            span = width - 2 * quarter
-            split = tlo + quarter + sk.split_fraction(depth, prefix) % span
-            if (m >> (ell - 1 - depth)) & 1:
+            split = tlo + quarter + fraction(d, m >> (ell - d)) % (width - 2 * quarter)
+            if (m >> (ell - 1 - d)) & 1:
                 tlo = split
             else:
                 thi = split
-        if len(sk._tags) > (1 << 18):
-            sk._tags.clear()
-        sk._tags[m] = tlo
         return tlo
 
     # -- enc / dec / comp ---------------------------------------------------
 
     def enc(self, sk: OpfSecretKey, m: int) -> bytes:
-        t = self.tag(sk, m)
+        return self._seal(sk, self.tag(sk, m), m)
+
+    def enc_many(self, sk: OpfSecretKey, ms) -> list[bytes]:
+        return [self._seal(sk, t, m) for t, m in zip(self.tag_many(sk, ms), ms)]
+
+    def _seal(self, sk: OpfSecretKey, t: int, payload: int) -> bytes:
+        """Ciphertext bytes for order tag t and plaintext payload."""
         tag_bytes = t.to_bytes(self.tag_len, "big")
-        masked = (m ^ (sk.mask(tag_bytes) & ((1 << 64) - 1))).to_bytes(8, "big")
+        masked = (payload ^ (sk.mask(tag_bytes) & ((1 << 64) - 1))).to_bytes(8, "big")
         auth = sk.auth(tag_bytes, masked)
         return bytes([OPF_VERSION, self.ell]) + tag_bytes + masked + auth
 
@@ -210,8 +270,4 @@ def forge_spliced_ciphertext(
     it by the spliced tag.  This is the witness pair on which the weak
     scheme fails strong correctness.
     """
-    t = scheme.tag(sk, tag_of)
-    tag_bytes = t.to_bytes(scheme.tag_len, "big")
-    masked = (payload_of ^ (sk.mask(tag_bytes) & ((1 << 64) - 1))).to_bytes(8, "big")
-    auth = sk.auth(tag_bytes, masked)
-    return bytes([OPF_VERSION, scheme.ell]) + tag_bytes + masked + auth
+    return scheme._seal(sk, scheme.tag(sk, tag_of), payload_of)

@@ -58,6 +58,10 @@ __all__ = [
     "SoundnessReport",
 ]
 
+# draws per enc_many/evaluate_many call in the bucket estimator; bounds the
+# ciphertexts and examples held at once when K is in the millions
+ESTIMATE_BATCH = 4096
+
 
 @dataclass
 class ReidentState:
@@ -178,8 +182,9 @@ def estimate_bucket_probs(
     bounds = state.bucket_bounds
     concept = state.concept
     scheme, sk, params = concept.scheme, concept.key.sk, concept.key.params
-    evaluate = hypothesis.evaluate
-    enc = scheme.enc
+    evaluate_many = getattr(hypothesis, "evaluate_many", None)
+    if evaluate_many is None:
+        evaluate_many = lambda examples: map(hypothesis.evaluate, examples)
     p_hat = np.zeros(n + 1)
     degraded = False
     for i in range(n + 1):
@@ -188,10 +193,12 @@ def estimate_bucket_probs(
             p_hat[i] = p_hat[i - 1] if i > 0 else 0.0
             degraded = True
             continue
+        # the bucket's k draws, encrypted and evaluated in bounded batches
         draws = rng.integers(lo, hi, size=k)
         acc = 0
-        for m in draws:
-            acc += evaluate(Example(params, enc(sk, int(m))))
+        for start in range(0, k, ESTIMATE_BATCH):
+            batch = draws[start : start + ESTIMATE_BATCH].tolist()
+            acc += sum(evaluate_many([Example(params, ct) for ct in scheme.enc_many(sk, batch)]))
         p_hat[i] = acc / k
     return p_hat, k, conforming, degraded
 

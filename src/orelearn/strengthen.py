@@ -281,7 +281,13 @@ class StrengthenedOre(OreScheme):
     # -- enc / dec / comp ---------------------------------------------------
 
     def enc(self, sk: StrongSecretKey, m: int) -> bytes:
-        base_ct = self.base.enc(sk.base_sk, m)
+        return self._certified(sk, self.base.enc(sk.base_sk, m))
+
+    def enc_many(self, sk: StrongSecretKey, ms) -> list[bytes]:
+        return [self._certified(sk, c) for c in self.base.enc_many(sk.base_sk, ms)]
+
+    def _certified(self, sk: StrongSecretKey, base_ct: bytes) -> bytes:
+        """Wrap a base ciphertext with its well-formedness certificate."""
         if sk.proving_key.needs_statement:
             stmt = statement_bytes(sk.base_params.data, sk.sigma, base_ct)
         else:
@@ -324,12 +330,33 @@ class StrengthenedOre(OreScheme):
         return self.base.dec(sk.base_sk, base_ct)
 
     def comp(self, params: StrongParams, c0: bytes, c1: bytes):
-        p0 = self.parse(c0)
+        return self.comp_many(params, [c0], c1)[0]
+
+    def comp_many(self, params: StrongParams, cts, c1: bytes) -> list:
+        """``[self.comp(params, c0, c1) for c0 in cts]`` with c1 parsed once
+        and verified at most once.
+
+        Each c0 is parsed and its certificate verified through the verdict
+        memo, as a lone ``comp`` would; c1 is verified when the first c0
+        passes, and a c1 that fails refuses the rest of the batch.
+        """
         p1 = self.parse(c1)
-        if p0 is None or p1 is None:
-            return BOT
-        for base_ct, cert in (p0, p1):
-            stmt = statement_bytes(params.base_params.data, params.sigma, base_ct)
-            if not self._verify(params.cert_vk, stmt, cert):
-                return BOT
-        return self.base.comp(params.base_params, p0[0], p1[0])
+        if p1 is None:
+            return [BOT] * len(cts)
+        base_params = params.base_params
+
+        def verified(parsed) -> bool:
+            stmt = statement_bytes(base_params.data, params.sigma, parsed[0])
+            return self._verify(params.cert_vk, stmt, parsed[1])
+
+        anchor_ok = None  # c1's verdict, once some c0 needs it
+        out = []
+        for c0 in cts:
+            p0 = self.parse(c0)
+            if anchor_ok is False or p0 is None or not verified(p0):
+                out.append(BOT)
+                continue
+            if anchor_ok is None:
+                anchor_ok = verified(p1)
+            out.append(self.base.comp(base_params, p0[0], p1[0]) if anchor_ok else BOT)
+        return out

@@ -1,0 +1,227 @@
+"""Batched paths return exactly what the per-item calls return.
+
+``tag_many``/``enc_many``, ``comp_many``/``evaluate_many`` and the per-bucket
+batches of ``estimate_bucket_probs`` are optimisations only: every
+property here compares a batch with the per-item loop it replaces.
+"""
+
+import functools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orelearn import reident
+from orelearn.core import BOT, encode_blob, mutate_ciphertext
+from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
+from orelearn.opf import OpfOre, forge_spliced_ciphertext
+from orelearn.reident import estimate_bucket_probs, gen_ex
+from orelearn.strengthen import (
+    STRONG_VERSION,
+    EscrowCertifier,
+    SignatureCertifier,
+    StrengthenedOre,
+)
+
+_CERTIFIERS = {"escrow": EscrowCertifier, "signature": SignatureCertifier}
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme(kind: str, ell: int):
+    base = OpfOre(ell=ell)
+    return base if kind == "opf" else StrengthenedOre(base, _CERTIFIERS[kind]())
+
+
+def _fresh_key(scheme, coins: bytes):
+    # keys from the same coins are equal but share no memo, so a per-item
+    # call on one cannot read what a batch call stored in the other
+    return scheme.gen_from_coins(coins)
+
+
+@st.composite
+def _batches(draw):
+    """(ell, messages, memoized): unsorted, with duplicates, possibly empty;
+    ``memoized`` is a prefix length to tag per item before the batch."""
+    ell = draw(st.integers(1, 64))
+    base = draw(st.lists(st.integers(0, (1 << ell) - 1), max_size=24))
+    ms = draw(st.permutations(base + base[: draw(st.integers(0, len(base)))]))
+    return ell, ms, draw(st.integers(0, len(ms)))
+
+
+_COINS = st.binary(min_size=32, max_size=32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches(), _COINS)
+def test_opf_tag_many_equals_per_item_tag(batch, coins):
+    ell, ms, memoized = batch
+    scheme = _scheme("opf", ell)
+    batch_sk = _fresh_key(scheme, coins).sk
+    for m in ms[:memoized]:
+        scheme.tag(batch_sk, m)
+    item_sk = _fresh_key(scheme, coins).sk
+    assert scheme.tag_many(batch_sk, ms) == [scheme.tag(item_sk, m) for m in ms]
+
+
+@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
+@settings(max_examples=60, deadline=None)
+@given(batch=_batches(), coins=_COINS)
+def test_enc_many_equals_per_item_enc(kind, batch, coins):
+    ell, ms, _ = batch
+    scheme = _scheme(kind, ell)
+    batch_key, item_key = _fresh_key(scheme, coins), _fresh_key(scheme, coins)
+    assert scheme.enc_many(batch_key.sk, ms) == [scheme.enc(item_key.sk, m) for m in ms]
+
+
+def test_tag_many_keeps_the_tag_memo_bounded():
+    scheme = _scheme("opf", 19)
+    sk = _fresh_key(scheme, bytes(32)).sk
+    ms = list(range((1 << 18) + 5))
+    tags = scheme.tag_many(sk, ms)
+    assert len(sk._tags) <= (1 << 18) + 1
+    item_sk = _fresh_key(scheme, bytes(32)).sk
+    assert [tags[m] for m in (0, 1, 1 << 17, len(ms) - 1)] == [
+        scheme.tag(item_sk, m) for m in (0, 1, 1 << 17, len(ms) - 1)
+    ]
+
+
+def test_tag_many_rejects_a_message_outside_the_domain():
+    scheme = _scheme("opf", 8)
+    with pytest.raises(ValueError):
+        scheme.tag_many(_fresh_key(scheme, bytes(32)).sk, [3, 256])
+
+
+# -- comparator batches ----------------------------------------------------------
+
+_ANCHORS = ("honest", "mutated", "forged", "garbage")
+_EXAMPLES = ("honest", "bitflip", "truncate", "random", "foreign")
+
+
+def _forged(scheme, key, ell):
+    """A ciphertext that compares but does not decrypt: a spliced base
+    ciphertext, wrapped without a valid certificate when strengthened."""
+    top = (1 << ell) - 1
+    if isinstance(scheme, OpfOre):
+        return forge_spliced_ciphertext(scheme, key.sk, tag_of=top, payload_of=0)
+    base_ct = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=top, payload_of=0)
+    return bytes([STRONG_VERSION, ell]) + encode_blob(base_ct, b"\x00" * 64)
+
+
+@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
+@settings(max_examples=40, deadline=None)
+@given(
+    ell=st.integers(2, 20),
+    anchor_kind=st.sampled_from(_ANCHORS),
+    kinds=st.lists(st.sampled_from(_EXAMPLES), max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_many_equals_per_item_evaluate(kind, ell, anchor_kind, kinds, seed):
+    scheme = _scheme(kind, ell)
+    rng = np.random.default_rng(seed)
+    key, foreign = scheme.gen(rng), scheme.gen(rng)
+    top = scheme.domain_size
+
+    anchor = scheme.enc(key.sk, int(rng.integers(0, top)))
+    if anchor_kind == "mutated":
+        anchor = mutate_ciphertext(anchor, "bitflip", rng)
+    elif anchor_kind == "forged":
+        anchor = _forged(scheme, key, ell)
+    elif anchor_kind == "garbage":
+        anchor = bytes(rng.bytes(int(rng.integers(0, 40))))
+
+    examples = []
+    for k in kinds:
+        m = int(rng.integers(0, top))
+        if k == "foreign":
+            examples.append(Example(foreign.params, scheme.enc(foreign.sk, m)))
+            continue
+        ct = scheme.enc(key.sk, m)
+        examples.append(Example(key.params, ct if k == "honest" else mutate_ciphertext(ct, k, rng)))
+
+    hyp = ComparatorHypothesis(scheme, key.params, anchor)
+    assert hyp.evaluate_many(examples) == [hyp.evaluate(x) for x in examples]
+
+
+def test_comp_many_refuses_everything_against_a_bad_anchor(rng):
+    scheme = _scheme("escrow", 8)
+    key = scheme.gen(rng)
+    cts = scheme.enc_many(key.sk, [1, 2, 3])
+    assert scheme.comp_many(key.params, cts, b"\x02\x08junk") == [BOT] * 3
+    assert scheme.comp_many(key.params, cts, _forged(scheme, key, 8)) == [BOT] * 3
+
+
+def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, monkeypatch):
+    scheme = _scheme("escrow", 8)
+    key = scheme.gen(rng)
+    ct, anchor = scheme.enc_many(key.sk, [5, 9])
+    expected = [scheme.comp(key.params, ct, anchor)] * 4
+    vk_type = type(key.params.cert_vk)
+    checks, memo_lookups = [], []
+    verify, memo = vk_type.verify, scheme._verify
+    monkeypatch.setattr(vk_type, "verify", lambda vk, *a: checks.append(a) or verify(vk, *a))
+    monkeypatch.setattr(scheme, "_verify", lambda *a: memo_lookups.append(a) or memo(*a))
+    scheme._verify_cache.clear()
+    assert scheme.comp_many(key.params, [ct] * 4, anchor) == expected
+    assert len(memo_lookups) == 5  # each of the 4 ciphertexts, and the anchor once
+    assert len(checks) == 2  # ct once, then the anchor once; the rest are memo hits
+
+
+# -- the estimator ------------------------------------------------------------------
+
+
+class _EvaluateOnly:
+    """Exposes a hypothesis through ``evaluate`` alone, forcing the
+    estimator's per-item fallback."""
+
+    def __init__(self, hypothesis):
+        self.evaluate = hypothesis.evaluate
+
+
+def _per_draw_estimate(state, hypothesis, k, rng):
+    """The estimator as a plain loop: one encryption and one evaluation per draw."""
+    scheme, key = state.concept.scheme, state.concept.key
+    bounds = state.bucket_bounds
+    est = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if hi <= lo:
+            est.append(est[-1] if est else 0.0)
+            continue
+        draws = rng.integers(lo, hi, size=k)
+        hits = sum(
+            hypothesis.evaluate(Example(key.params, scheme.enc(key.sk, int(m)))) for m in draws
+        )
+        est.append(hits / k)
+    return est
+
+
+@pytest.mark.filterwarnings("ignore:n.2")
+@pytest.mark.parametrize("kind", ["opf", "escrow"])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    k_cap=st.integers(1, 40),
+    batch=st.sampled_from([1, 3, 7, reident.ESTIMATE_BATCH]),
+)
+def test_estimator_batches_match_the_per_item_fallback(kind, seed, n, k_cap, batch):
+    scheme = _scheme(kind, 16)
+
+    def run(estimator):
+        with mock.patch.object(reident, "ESTIMATE_BATCH", batch):
+            return run_with(estimator)
+
+    def run_with(estimator):
+        rng = np.random.default_rng(seed)
+        state, sample = gen_ex(scheme, n, rng)
+        est = estimator(state, pac_learn(scheme, sample), rng)
+        return est, rng.integers(0, 2**63)  # and where the stream was left
+
+    def batched(state, hypothesis, rng):
+        return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=k_cap)[0].tolist()
+
+    assert (
+        run(batched)
+        == run(lambda state, h, rng: batched(state, _EvaluateOnly(h), rng))
+        == run(lambda state, h, rng: _per_draw_estimate(state, h, k_cap, rng))
+    )

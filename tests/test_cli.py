@@ -5,6 +5,7 @@ import json
 import pytest
 
 from orelearn.cli import main
+from orelearn.harness import _MODES
 
 
 def test_hybrid_subcommand_success(capsys):
@@ -48,6 +49,17 @@ def test_exit_code_2_on_missing_drop_index():
         (["hybrid", "--left", "1,x", "--right", "2,3", "--ell", "4"], "left"),
         (["hybrid", "--left", "1,2", "--right", "1", "--ell", "4"], "left"),
         (["hybrid", "--left", "1,20", "--right", "2,3", "--ell", "4"], "left"),
+        # below each mode's smallest workable ell
+        (["games", "--mode", "random", "--ell", "1", "--trials", "2"], "ell"),
+        (["games", "--mode", "payload", "--ell", "2", "--trials", "2"], "ell"),
+        (["games", "--mode", "payload", "--ell", "3", "--trials", "2"], "ell"),  # left == right
+        (["games", "--mode", "reduction", "--n", "1", "--ell", "1", "--trials", "2"], "ell"),
+        (["games", "--mode", "reduction", "--ell", "2", "--trials", "2"], "ell"),
+        (["games", "--mode", "leak", "--ell", "3", "--trials", "2"], "ell"),
+        (["pac", "--dist", "pointmass", "--ell", "2", "--trials", "2"], "ell"),
+        (["pac", "--dist", "all", "--ell", "2", "--trials", "2"], "ell"),
+        # reduction's degenerate-trial filler (0, ..., n + 1) needs 2**ell >= n + 2
+        (["games", "--mode", "reduction", "--n", "15", "--ell", "4", "--trials", "2"], "ell"),
     ],
 )
 def test_exit_code_2_on_bad_flag_value(argv, field, capsys):
@@ -130,3 +142,23 @@ def test_csv_format_writes_trials_and_summary(tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert any(n.endswith("_trials.csv") for n in names)
     assert any(n.endswith("_summary.csv") for n in names)
+
+
+_SWEEP_FLAGS = {
+    "pac": ["--dist", "all"],
+    "trace": ["--k-cap", "10", "--drop-index", "1"],
+    "hybrid": ["--left", "0", "--right", "1"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:n.2")  # gen_ex: n**2 crowds the domain
+@pytest.mark.parametrize(
+    "experiment, mode", [(e, m) for e, modes in _MODES.items() for m in modes]
+)
+def test_exit_code_is_0_2_or_3_at_small_ell(experiment, mode):
+    # every mode at ell 1-4: a run passes, fails its gate, or is a config
+    # error; an exception (exit 1) is never the answer
+    for ell in range(1, 5):
+        argv = [experiment] + (["--mode", mode] if mode else [])
+        argv += ["--ell", str(ell), "--trials", "2"] + _SWEEP_FLAGS.get(experiment, [])
+        assert main(argv) in (0, 2, 3), argv

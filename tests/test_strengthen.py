@@ -2,9 +2,11 @@
 comp == decrypt-then-compare on arbitrary bytes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelearn.core import (
     BOT,
+    Ordering3,
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
@@ -197,3 +199,41 @@ def test_ciphertext_layout_is_length_prefixed(rng):
     base_ct, cert = decode_blob(ct[2:], 2)
     assert base_ct[0] == 0x01  # embedded base ciphertext keeps its own header
     assert len(cert) == 64  # ed25519 signature
+
+
+# -- arbitrary bytes -------------------------------------------------------------
+
+_BYTE_KEYS = {
+    "opf": (lambda: OpfOre(ell=8)),
+    "escrow": _escrow_scheme,
+    "signature": _sig_scheme,
+}
+
+
+def _edited(ct: bytes, pos: int, xor: int, cut: int, tail: bytes) -> bytes:
+    b = bytearray(ct)
+    b[pos % len(b)] ^= xor
+    return bytes(b[:cut]) + tail
+
+
+@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dec_and_comp_take_arbitrary_bytes(kind, data):
+    # dec and comp never raise; strengthened comp is decrypt-then-compare
+    scheme = _BYTE_KEYS[kind]()
+    key = scheme.gen_from_coins(bytes(range(32)))
+    honest = st.integers(0, 255).map(lambda m: scheme.enc(key.sk, m))
+    edited = st.builds(
+        _edited, honest, st.integers(0, 200), st.integers(0, 255),
+        st.integers(0, 200), st.binary(max_size=8),
+    )
+    cts = st.one_of(st.binary(max_size=140), honest, edited)
+    c0, c1 = data.draw(cts), data.draw(cts)
+    for c in (c0, c1):
+        m = scheme.dec(key.sk, c)
+        assert m is BOT or 0 <= m < 256
+    got = scheme.comp(key.params, c0, c1)
+    assert got is BOT or isinstance(got, Ordering3)
+    if kind != "opf":
+        assert got is comp_ciph(scheme, key.sk, c0, c1)
