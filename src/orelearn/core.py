@@ -263,8 +263,7 @@ def check_decryption_correctness(
     report = CheckReport()
     for _ in range(keys):
         key = scheme.gen(rng)
-        for m in messages:
-            ct = scheme.enc(key.sk, m)
+        for m, ct in zip(messages, scheme.enc_many(key.sk, messages)):
             got = scheme.dec(key.sk, ct)
             report.checked += 1
             if got is BOT or got != m:
@@ -278,18 +277,12 @@ def check_weak_correctness(
     key: KeyMaterial,
 ) -> CheckReport:
     """Verify comp(enc(m0), enc(m1)) matches plaintext order on honest pairs."""
+    pairs = list(message_pairs)
+    ms = list(dict.fromkeys(m for pair in pairs for m in pair))
+    ct_of = dict(zip(ms, scheme.enc_many(key.sk, ms)))
     report = CheckReport()
-    enc_cache: dict[int, bytes] = {}
-
-    def ct_of(m: int) -> bytes:
-        c = enc_cache.get(m)
-        if c is None:
-            c = scheme.enc(key.sk, m)
-            enc_cache[m] = c
-        return c
-
-    for m0, m1 in message_pairs:
-        got = scheme.comp(key.params, ct_of(m0), ct_of(m1))
+    for m0, m1 in pairs:
+        got = scheme.comp(key.params, ct_of[m0], ct_of[m1])
         want = compare_ints(m0, m1)
         report.checked += 1
         if got is not want:

@@ -81,6 +81,10 @@ class EncThreshConcept:
     def encrypt_example(self, m: int) -> Example:
         return Example(self.key.params, self.scheme.enc(self.key.sk, m))
 
+    def encrypt_examples(self, ms: Sequence[int]) -> list[Example]:
+        """``[self.encrypt_example(m) for m in ms]`` through one ``enc_many``."""
+        return [Example(self.key.params, ct) for ct in self.scheme.enc_many(self.key.sk, ms)]
+
 
 def random_concept(
     scheme: OreScheme, rng: np.random.Generator, t: "int | None" = None
@@ -408,7 +412,7 @@ def make_distribution(
         return WrongParamsMixtureDistribution(concept, decoy)
     if family == "pointmass":
         ms = rng.choice(concept.scheme.domain_size, size=POINT_MASS_POINTS, replace=False)
-        points = [concept.encrypt_example(int(m)) for m in ms]
+        points = concept.encrypt_examples(ms.tolist())
         weights = rng.dirichlet(np.ones(POINT_MASS_POINTS)).tolist()
         return PointMassDistribution(points, weights)
     raise ValueError(f"unknown distribution family {family!r}")

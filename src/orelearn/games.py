@@ -194,7 +194,7 @@ def run_static_game(
 
     def encrypt(sk, challenge: ChallengePair, bit: int):
         side = challenge.left if bit == 0 else challenge.right
-        return ([scheme.enc(sk, m) for m in side],)
+        return (scheme.enc_many(sk, side),)
 
     return _play("static", scheme, adversary, trials, rng, keep_transcripts, encrypt)
 
@@ -209,8 +209,9 @@ def run_single_challenge_game(
     """Single-challenge indistinguishability experiment."""
 
     def encrypt(sk, challenge: SingleChallenge, bit: int):
-        cts = [scheme.enc(sk, m) for m in challenge.messages]
-        return cts, scheme.enc(sk, challenge.m_left if bit == 0 else challenge.m_right)
+        m = challenge.m_left if bit == 0 else challenge.m_right
+        *cts, ct = scheme.enc_many(sk, [*challenge.messages, m])
+        return cts, ct
 
     return _play(
         "single-challenge", scheme, adversary, trials, rng, keep_transcripts, encrypt

@@ -440,7 +440,7 @@ def _run_pac(config: ExperimentConfig):
     passed = one_sided_all and all(
         r >= 0.90 for r in rates.values() if not np.isnan(r)
     )
-    return columns, rows, aggregates, passed if config.trials else None
+    return columns, rows, aggregates, passed
 
 
 def _run_trace(config: ExperimentConfig):
@@ -487,7 +487,7 @@ def _run_trace(config: ExperimentConfig):
         }
         for t, r in enumerate(report.rows)
     ]
-    return columns, rows, aggregates, passed if config.trials else None
+    return columns, rows, aggregates, passed
 
 
 def _run_games(config: ExperimentConfig):
@@ -556,7 +556,7 @@ def _run_games(config: ExperimentConfig):
             {"trial": t.trial, "bit": t.bit, "guess": t.guess, "win": t.win, **t.flags}
             for t in report.transcripts
         ]
-    return columns, rows, aggregates, (gate(report) if config.trials else None), extra
+    return columns, rows, aggregates, gate(report), extra
 
 
 def _run_hybrid(config: ExperimentConfig):
@@ -593,7 +593,7 @@ def _run_sq(config: ExperimentConfig):
         rng = derive_trial_rng(config.seed, trial)
         concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
         support_ms = rng.choice(scheme.domain_size, size=min(256, scheme.domain_size), replace=False)
-        points = [concept.encrypt_example(int(m)) for m in support_ms]
+        points = concept.encrypt_examples(support_ms.tolist())
         weights = rng.dirichlet(np.ones(len(points))).tolist()
         dist = PointMassDistribution(points, weights)
         oracle_mode = config.mode or "exact"
@@ -619,7 +619,7 @@ def _run_sq(config: ExperimentConfig):
             }
         )
     aggregates = {"query_bound": bound, "all_good": all_good}
-    return columns, rows, aggregates, all_good if config.trials else None
+    return columns, rows, aggregates, all_good
 
 
 def _run_validsig(config: ExperimentConfig):
@@ -642,7 +642,7 @@ def _run_validsig(config: ExperimentConfig):
             good += err <= config.alpha
             rows.append({"trial": trial, "outcome": err <= config.alpha, "detail": err})
         rate = good / config.trials if config.trials else float("nan")
-        return columns, rows, {"success_rate": rate}, (rate >= 0.90 if config.trials else None)
+        return columns, rows, {"success_rate": rate}, rate >= 0.90
     if config.mode == "trace":
         traced = 0
         for trial in range(config.trials):
@@ -653,7 +653,7 @@ def _run_validsig(config: ExperimentConfig):
             traced += accused is not None
             rows.append({"trial": trial, "outcome": accused is not None, "detail": accused})
         rate = traced / config.trials if config.trials else float("nan")
-        return columns, rows, {"traced_rate": rate}, (rate == 1.0 if config.trials else None)
+        return columns, rows, {"traced_rate": rate}, rate == 1.0
     # forge: the honest learner must never win the weak forgery game
     wins = 0
     for trial in range(config.trials):
@@ -661,7 +661,7 @@ def _run_validsig(config: ExperimentConfig):
         result = run_weak_forgery_game(sig, validsig_learn, config.n, config.ell, rng)
         wins += result["value"]
         rows.append({"trial": trial, "outcome": result["value"], "detail": result.get("reason", "")})
-    return columns, rows, {"wins": wins}, (wins == 0 if config.trials else None)
+    return columns, rows, {"wins": wins}, wins == 0
 
 
 _RUNNERS = {

@@ -47,12 +47,12 @@ class OpfSecretKey:
     """Key material for the tag/payload construction.
 
     Holds three independent keyed-hash keys (tag descent, payload mask,
-    payload auth) derived from the master key bytes, plus small memo tables
-    for descent splits and full tags.  The memos cache pure functions of
-    the key and are bounded, so behaviour stays deterministic.
+    payload auth) derived from the master key bytes, plus a bounded memo of
+    full order tags.  The memo caches a pure function of the key, so
+    behaviour stays deterministic.
     """
 
-    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_splits", "_tags")
+    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags")
 
     def __init__(self, key: bytes, ell: int):
         self.key = key
@@ -60,7 +60,6 @@ class OpfSecretKey:
         self._h_tag = hashlib.blake2b(key + b"\x01", digest_size=16)
         self._h_mask = hashlib.blake2b(key + b"\x02", digest_size=_MASKED_LEN)
         self._h_auth = hashlib.blake2b(key + b"\x03", digest_size=_AUTH_LEN)
-        self._splits: dict[tuple[int, int], int] = {}
         self._tags: dict[int, int] = {}
 
     def __eq__(self, other):
@@ -73,21 +72,11 @@ class OpfSecretKey:
     def __hash__(self):
         return hash((self.key, self.ell))
 
-    def node_fraction(self, depth: int, prefix: int) -> int:
+    def split_fraction(self, depth: int, prefix: int) -> int:
         """Pseudorandom 128-bit value for the descent node (depth, prefix)."""
         h = self._h_tag.copy()
         h.update(((depth << 64) | prefix).to_bytes(9, "big"))  # depth byte, 8-byte prefix
         return int.from_bytes(h.digest(), "big")
-
-    def split_fraction(self, depth: int, prefix: int) -> int:
-        """``node_fraction`` behind a bounded memo."""
-        v = self._splits.get((depth, prefix))
-        if v is None:
-            v = self.node_fraction(depth, prefix)
-            if len(self._splits) > (1 << 18):
-                self._splits.clear()
-            self._splits[(depth, prefix)] = v
-        return v
 
     def mask(self, tag_bytes: bytes) -> int:
         h = self._h_mask.copy()
@@ -146,16 +135,15 @@ class OpfOre(OreScheme):
         The distinct unmemoized messages, sorted, walk down one shared
         descent: each (depth, prefix) node on their paths is hashed once per
         batch, and a message alone in its subtree finishes its path in the
-        plain per-message loop.  Node hashes skip the ``split_fraction``
-        memo (the batch already shares them); tags go into the tag memo, so
-        a later ``tag`` or ``dec`` of the same message hits it.
+        plain per-message loop.  Tags go into the tag memo, so a later
+        ``tag`` or ``dec`` of the same message hits it.
         """
         for m in ms:
             self._check_message(m)
         tags = sk._tags
         found = {m: tags[m] for m in ms if m in tags}
         todo = sorted(set(ms).difference(found))
-        fraction, descend, ell = sk.node_fraction, self._descend, self.ell
+        fraction, descend, ell = sk.split_fraction, self._descend, self.ell
         # todo[lo:hi] all pass through the node at depth with tag interval [tlo, thi)
         stack = [(0, len(todo), 0, 0, 1 << self.tag_bits)] if todo else []
         while stack:

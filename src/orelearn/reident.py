@@ -122,7 +122,7 @@ def gen_ex(
     s = raw[order]
     bounds = np.concatenate(([0], s, [big_n - 1]))
     well_spaced = bool(np.all(np.diff(bounds) > 1))
-    junk = concept.encrypt_example(0)
+    junk, *examples = concept.encrypt_examples([0] + raw.tolist())
     state = ReidentState(
         concept=concept,
         raw_messages=raw,
@@ -131,10 +131,7 @@ def gen_ex(
         junk_example=junk,
         well_spaced=well_spaced,
     )
-    sample = [
-        (concept.encrypt_example(int(m)), 1 if int(m) < concept.t else 0)
-        for m in raw
-    ]
+    sample = [(x, 1 if m < concept.t else 0) for x, m in zip(examples, raw.tolist())]
     return state, sample
 
 

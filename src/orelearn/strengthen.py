@@ -248,9 +248,10 @@ class StrengthenedOre(OreScheme):
         self.ell = base.ell
         self.coin_len = base.coin_len
         self.name = f"strong-{certifier.name}"
-        # bounded memo of certificate verdicts; verification is a pure
-        # function of (vk, statement, cert), so caching cannot change results
-        self._verify_cache: dict[bytes, bool] = {}
+        # bounded memo of certificate verdicts, keyed by their own inputs;
+        # verification is a pure function of (vk, statement, cert), so
+        # caching cannot change results.  Verify keys hash by identity.
+        self._verify_cache: dict[tuple, bool] = {}
 
     def gen_from_coins(self, coins: bytes) -> KeyMaterial:
         def sub(label: bytes) -> bytes:
@@ -305,18 +306,14 @@ class StrengthenedOre(OreScheme):
         return fields[0], fields[1]
 
     def _verify(self, cert_vk, stmt: bytes, cert: bytes) -> bool:
-        h = hashlib.blake2b(
-            encode_blob(cert_vk.serialize(), stmt, cert),
-            key=b"verify-memo",
-            digest_size=24,
-        ).digest()
-        hit = self._verify_cache.get(h)
+        key = (cert_vk, stmt, cert)
+        hit = self._verify_cache.get(key)
         if hit is not None:
             return hit
         ok = cert_vk.verify(stmt, cert)
         if len(self._verify_cache) > 4096:
             self._verify_cache.clear()
-        self._verify_cache[h] = ok
+        self._verify_cache[key] = ok
         return ok
 
     def dec(self, sk: StrongSecretKey, ct: bytes):

@@ -5,6 +5,7 @@ batches of ``estimate_bucket_probs`` are optimisations only: every
 property here compares a batch with the per-item loop it replaces.
 """
 
+import dataclasses
 import functools
 from unittest import mock
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orelearn import reident
-from orelearn.core import BOT, encode_blob, mutate_ciphertext
+from orelearn.core import BOT, Ordering3, encode_blob, mutate_ciphertext
 from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
 from orelearn.opf import OpfOre, forge_spliced_ciphertext
 from orelearn.reident import estimate_bucket_probs, gen_ex
@@ -165,6 +166,18 @@ def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, mo
     assert scheme.comp_many(key.params, [ct] * 4, anchor) == expected
     assert len(memo_lookups) == 5  # each of the 4 ciphertexts, and the anchor once
     assert len(checks) == 2  # ct once, then the anchor once; the rest are memo hits
+
+
+@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+def test_verdict_memo_is_keyed_by_the_verify_key(certifier, rng):
+    scheme = _scheme(certifier, 8)
+    key_a, key_b = scheme.gen(rng), scheme.gen(rng)
+    ct, anchor = scheme.enc_many(key_a.sk, [5, 9])
+    assert scheme.comp(key_a.params, ct, anchor) is Ordering3.LT  # both verdicts memoized
+    # the same ciphertexts under another key's verify key must not hit them
+    mixed = dataclasses.replace(key_a.params, cert_vk=key_b.params.cert_vk)
+    assert scheme.comp(mixed, ct, anchor) is BOT
+    assert scheme.comp_many(mixed, [ct, anchor, ct], anchor) == [BOT] * 3
 
 
 # -- the estimator ------------------------------------------------------------------

@@ -141,6 +141,16 @@ def test_check_weak_correctness_detects_inverted_comparator(rng):
     assert len(report.failures) == strict  # every strict pair flips, EQ survives
 
 
+def test_check_weak_correctness_iterates_the_pairs_once(rng):
+    scheme = _InvertedCompScheme(ell=6)
+    key = scheme.gen(rng)
+    pairs = [(a, b) for a in range(8) for b in range(8)] * 2  # every message repeats
+    want = check_weak_correctness(scheme, pairs, key)
+    got = check_weak_correctness(scheme, (pair for pair in pairs), key)  # one-shot
+    assert got.checked == want.checked == len(pairs)
+    assert got.failures == want.failures and got.failures
+
+
 def test_check_weak_correctness_equal_pairs_all_eq(rng):
     scheme = OpfOre(ell=10)
     key = scheme.gen(rng)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orelearn.harness import (
     CSV_SCHEMA_VERSION,
     EXPERIMENTS,
+    _MODES,
     ConfigError,
     ExperimentConfig,
     derive_trial_rng,
@@ -199,14 +200,18 @@ def test_rerun_reproduces_identical_csv_bodies():
 
 
 def test_zero_trials_is_an_empty_success():
-    for raw in (
-        {"experiment": "pac", "ell": 10, "trials": 0},
-        {"experiment": "trace", "mode": "completeness", "n": 4, "trials": 0},
-        {"experiment": "trace", "mode": "soundness", "n": 4, "drop_index": 1, "trials": 0},
-    ):
-        report = run(ExperimentConfig.from_dict(raw))
-        assert report.rows == []
-        assert report.passed is None
+    # every experiment and mode but hybrid, whose verdict needs no trials
+    for experiment, modes in _MODES.items():
+        if experiment == "hybrid":
+            continue
+        for mode in modes:
+            raw = {"experiment": experiment, "mode": mode, "ell": 10, "n": 4, "trials": 0}
+            if mode == "soundness":
+                raw["drop_index"] = 1
+            report = run(ExperimentConfig.from_dict(raw))
+            assert report.passed is None, (experiment, mode)
+            if experiment in ("pac", "trace", "sq", "validsig"):  # one row per trial
+                assert report.rows == [], (experiment, mode)
 
 
 def test_csv_headers_are_versioned_and_pinned():
