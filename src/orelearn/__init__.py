@@ -47,7 +47,7 @@ from .reident import (
     soundness_experiment,
     trace_ex,
 )
-from .sq import StatOracle, sq_learn
+from .sq import StatOracle, ViewQuery, sq_learn
 from .strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from .validsig import (
     Ed25519Scheme,

@@ -362,8 +362,11 @@ def synthetic_reduction_win_rate(
     bit, the bucket choice on the left challenge, and the per-ciphertext
     Bernoulli responses of a hypothesis with acceptance rates p and q on
     the two buckets.  Ciphertext contents never enter the decision, so
-    this equals the full game's win rate with such a hypothesis.
+    this equals the full game's win rate with such a hypothesis.  With no
+    trials there is no rate: the result is nan.
     """
+    if trials == 0:
+        return float("nan")
     bits = rng.integers(0, 2, size=trials)
     u0, u1 = rng.random(trials), rng.random(trials)
     same_bucket_rate = np.where(rng.integers(0, 2, size=trials) == 0, p, q)

@@ -52,7 +52,7 @@ class OpfSecretKey:
     behaviour stays deterministic.
     """
 
-    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags")
+    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags", "__weakref__")
 
     def __init__(self, key: bytes, ell: int):
         self.key = key

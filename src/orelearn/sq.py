@@ -23,6 +23,15 @@ The learner needs only 1 + |params bits| + ell queries:
    soon as the hypothesis's positive weight matches the target's within
    alpha/2, or when the candidate interval collapses to a single point.
 
+A query may carry a view: ``ViewQuery(view, test)`` is the predicate
+``psi(x, b) == test(view(x, b))``.  The oracle computes each support
+point's view once, calls ``test`` once per distinct view value and adds
+the weights of the passing points in support order, so the answer equals
+the per-point sum bit for bit.  The learner's label and parameter-bit
+queries share one view, (params bytes, label), with two distinct values;
+its threshold queries share the decryption under the recovered key, so
+each support point is decrypted once per learner run.
+
 The functional-equivalence claim of step 3 is executable via
 ``check_key_equivalence``, which sweeps all encryptions of the full
 domain under both keys plus a fuzz corpus.
@@ -43,6 +52,7 @@ from .encthresh import (
 
 __all__ = [
     "StatOracle",
+    "ViewQuery",
     "tolerance_floor",
     "OracleKeyRecovery",
     "TinyKeyspaceRecovery",
@@ -58,13 +68,42 @@ def tolerance_floor(k_bits: int, alpha: float) -> float:
     return 1.0 / (64.0 * k_bits * math.ceil(1.0 / alpha))
 
 
+class ViewQuery:
+    """The statistical query ``psi(x, b) == test(view(x, b))``.
+
+    ``view`` maps a labeled example to a hashable value and ``test`` maps
+    a view value to a verdict.  ``StatOracle`` groups the support by view
+    value, so ``test`` must give equal verdicts on equal values; a view
+    function must be pure for as long as the oracle lives, since the
+    oracle keeps its values.
+    """
+
+    __slots__ = ("view", "test")
+
+    def __init__(self, view, test):
+        self.view = view
+        self.test = test
+
+    def __call__(self, x, b) -> bool:
+        return self.test(self.view(x, b))
+
+
 class StatOracle:
     """Answers statistical queries about a labeled example distribution.
 
     The distribution must expose ``support() -> [(Example, weight)]``;
     answers are exact expectations, optionally jittered by noise uniform
     in [-tau, tau] (clipped to [0, 1], which preserves the tau bound).
-    The query counter increments once per query.
+    The query counter increments once per query, and jitter mode draws
+    once per query.
+
+    A plain callable is called once per support point.  A ``ViewQuery``
+    is answered by groups: the view of every support point is computed
+    once per view function and kept on the oracle, ``test`` is called
+    once per distinct view value, and the weights of the passing points
+    are added in support order, the same additions as the per-point sum.
+    That sum is memoized by (view, set of passing values) for the
+    oracle's lifetime.
     """
 
     def __init__(
@@ -93,9 +132,24 @@ class StatOracle:
         self.k_bits = k_bits
         self.tau_floor = tolerance_floor(k_bits, alpha)
         self.query_count = 0
+        self._views: dict = {}  # view function -> (value per support point, distinct values)
+        self._answers: dict = {}  # (view function, passing values) -> weight sum
 
     def true_expectation(self, psi) -> float:
-        return sum(w for x, w, label in self._support if psi(x, label))
+        if not isinstance(psi, ViewQuery):
+            return sum(w for x, w, label in self._support if psi(x, label))
+        views = self._views.get(psi.view)
+        if views is None:
+            values = [psi.view(x, label) for x, _, label in self._support]
+            views = self._views[psi.view] = (values, tuple(dict.fromkeys(values)))
+        values, distinct = views
+        passing = frozenset(v for v in distinct if psi.test(v))
+        key = (psi.view, passing)
+        value = self._answers.get(key)
+        if value is None:
+            value = sum(w for (_, w, _), v in zip(self._support, values) if v in passing)
+            self._answers[key] = value
+        return value
 
     def query(self, psi, tau: float) -> float:
         if tau < self.tau_floor:
@@ -175,6 +229,11 @@ def bit_of(data: bytes, i: int) -> int:
     return (data[i >> 3] >> (7 - (i & 7))) & 1
 
 
+def _params_and_label(x, b) -> tuple:
+    """The view shared by the learner's label and parameter-bit queries."""
+    return x.params.data, b
+
+
 def sq_learn(
     oracle: StatOracle,
     alpha: float,
@@ -187,7 +246,7 @@ def sq_learn(
     weight below alpha/2; otherwise a decrypt-and-threshold hypothesis.
     Total queries are at most 1 + 8*params_len + ell.
     """
-    v = oracle.query(lambda x, b: b == 1, alpha / 4.0)
+    v = oracle.query(ViewQuery(_params_and_label, lambda pb: pb[1] == 1), alpha / 4.0)
     if v < alpha / 2.0:
         return AllZeroesHypothesis()
 
@@ -195,7 +254,7 @@ def sq_learn(
     bits = []
     for i in range(n_bits):
         answer = oracle.query(
-            lambda x, b, i=i: b == 1 and bit_of(x.params.data, i) == 1,
+            ViewQuery(_params_and_label, lambda pb, i=i: pb[1] == 1 and bit_of(pb[0], i) == 1),
             alpha / 16.0,
         )
         # positive mass all lies on the target parameters, so the answer is
@@ -208,19 +267,17 @@ def sq_learn(
     params = PublicParams(data=bytes(data), ell=scheme.ell)
 
     sk = key_recovery.recover(params)
+    params_data = params.data
+
+    def decrypted(x, b):
+        """The plaintext under the recovered key; BOT under foreign params."""
+        return scheme.dec(sk, x.ct) if x.params.data == params_data else BOT
 
     # positive weight is at least alpha/4 > 0, so the threshold is at least 1
     lo, hi = 1, scheme.domain_size
-    params_data = params.data
     while lo < hi:
         t_mid = (lo + hi) // 2
-
-        def phi(x, b, t=t_mid):
-            if x.params.data != params_data:
-                return False
-            m = scheme.dec(sk, x.ct)
-            return m is not BOT and m < t
-
+        phi = ViewQuery(decrypted, lambda m, t=t_mid: m is not BOT and m < t)
         v1 = oracle.query(phi, alpha / 4.0)
         if abs(v1 - v) <= alpha / 2.0:
             return DecryptThresholdHypothesis(scheme, params, sk, t_mid)

@@ -137,13 +137,14 @@ class _SignatureProvingKey:
 
 
 class _SignatureVerifyKey:
-    __slots__ = ("vk_bytes", "_vk")
+    __slots__ = ("vk_bytes", "_vk", "verdicts")
 
     kind = "signature"
 
     def __init__(self, vk_bytes: bytes):
         self.vk_bytes = vk_bytes
         self._vk = Ed25519PublicKey.from_public_bytes(vk_bytes)
+        self.verdicts: dict[tuple, bool] = {}  # StrengthenedOre's memo of this key's verdicts
 
     def serialize(self) -> bytes:
         return b"sig:" + self.vk_bytes
@@ -182,13 +183,14 @@ class _EscrowProvingKey:
 
 
 class _EscrowVerifyKey:
-    __slots__ = ("_base", "_base_sk")
+    __slots__ = ("_base", "_base_sk", "verdicts")
 
     kind = "escrow"
 
     def __init__(self, base: OreScheme, base_sk):
         self._base = base
         self._base_sk = base_sk
+        self.verdicts: dict[tuple, bool] = {}  # StrengthenedOre's memo of this key's verdicts
 
     def serialize(self) -> bytes:
         # leaks the sealed key bytes; escrow mode is simulation-only
@@ -248,10 +250,6 @@ class StrengthenedOre(OreScheme):
         self.ell = base.ell
         self.coin_len = base.coin_len
         self.name = f"strong-{certifier.name}"
-        # bounded memo of certificate verdicts, keyed by their own inputs;
-        # verification is a pure function of (vk, statement, cert), so
-        # caching cannot change results.  Verify keys hash by identity.
-        self._verify_cache: dict[tuple, bool] = {}
 
     def gen_from_coins(self, coins: bytes) -> KeyMaterial:
         def sub(label: bytes) -> bytes:
@@ -306,14 +304,21 @@ class StrengthenedOre(OreScheme):
         return fields[0], fields[1]
 
     def _verify(self, cert_vk, stmt: bytes, cert: bytes) -> bool:
-        key = (cert_vk, stmt, cert)
-        hit = self._verify_cache.get(key)
+        """``cert_vk.verify(stmt, cert)`` through the key's bounded verdict memo.
+
+        Verification is a pure function of (key, statement, certificate), so
+        the memo cannot change results; it lives on the verify key, so it
+        dies with the key.
+        """
+        memo = cert_vk.verdicts
+        key = (stmt, cert)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         ok = cert_vk.verify(stmt, cert)
-        if len(self._verify_cache) > 4096:
-            self._verify_cache.clear()
-        self._verify_cache[key] = ok
+        if len(memo) > 4096:
+            memo.clear()
+        memo[key] = ok
         return ok
 
     def dec(self, sk: StrongSecretKey, ct: bytes):

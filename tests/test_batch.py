@@ -7,6 +7,8 @@ property here compares a batch with the per-item loop it replaces.
 
 import dataclasses
 import functools
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -162,7 +164,7 @@ def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, mo
     verify, memo = vk_type.verify, scheme._verify
     monkeypatch.setattr(vk_type, "verify", lambda vk, *a: checks.append(a) or verify(vk, *a))
     monkeypatch.setattr(scheme, "_verify", lambda *a: memo_lookups.append(a) or memo(*a))
-    scheme._verify_cache.clear()
+    key.params.cert_vk.verdicts.clear()
     assert scheme.comp_many(key.params, [ct] * 4, anchor) == expected
     assert len(memo_lookups) == 5  # each of the 4 ciphertexts, and the anchor once
     assert len(checks) == 2  # ct once, then the anchor once; the rest are memo hits
@@ -178,6 +180,21 @@ def test_verdict_memo_is_keyed_by_the_verify_key(certifier, rng):
     mixed = dataclasses.replace(key_a.params, cert_vk=key_b.params.cert_vk)
     assert scheme.comp(mixed, ct, anchor) is BOT
     assert scheme.comp_many(mixed, [ct, anchor, ct], anchor) == [BOT] * 3
+
+
+def test_verdict_memo_dies_with_its_key(rng):
+    # an escrow verify key holds its base secret key and that key's tag memo;
+    # verdicts memoized under a finished key must not keep either alive
+    scheme = _scheme("escrow", 16)
+    base_keys = []
+    for _ in range(8):
+        key = scheme.gen(rng)
+        cts = scheme.enc_many(key.sk, rng.integers(0, scheme.domain_size, size=300).tolist())
+        scheme.comp_many(key.params, cts, cts[0])
+        base_keys.append(weakref.ref(key.sk.base_sk))
+        del key, cts
+    gc.collect()
+    assert [ref for ref in base_keys if ref() is not None] == []
 
 
 # -- the estimator ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Experiment harness: config schema, trial streams, report determinism."""
 
 import json
+import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,17 @@ def test_zero_trials_is_an_empty_success():
             assert report.passed is None, (experiment, mode)
             if experiment in ("pac", "trace", "sq", "validsig"):  # one row per trial
                 assert report.rows == [], (experiment, mode)
+
+
+def test_synthetic_games_at_zero_trials_warn_nothing():
+    cfg = _cfg(experiment="games", mode="synthetic", trials=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(cfg)
+    assert report.passed is None
+    assert [row["trials"] for row in report.rows] == [0, 0, 0]
+    assert all(math.isnan(row["advantage"]) for row in report.rows)
+    assert math.isnan(report.aggregates["max_gap"])
 
 
 def test_csv_headers_are_versioned_and_pinned():

@@ -1,7 +1,12 @@
 """Statistical-query oracle, the threshold learner, key recovery."""
 
+import collections
+import functools
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelearn.encthresh import (
     AllZeroesHypothesis,
@@ -10,12 +15,15 @@ from orelearn.encthresh import (
     PointMassDistribution,
     random_concept,
 )
+from orelearn import sq
+from orelearn.core import BOT, mutate_ciphertext
 from orelearn.opf import OpfOre
 from orelearn.sq import (
     KeyRecoveryError,
     OracleKeyRecovery,
     StatOracle,
     TinyKeyspaceRecovery,
+    ViewQuery,
     bit_of,
     check_key_equivalence,
     sq_learn,
@@ -93,6 +101,136 @@ def test_tolerance_floor_formula():
 def test_bit_of_msb_first():
     assert [bit_of(b"\x80", i) for i in range(8)] == [1, 0, 0, 0, 0, 0, 0, 0]
     assert bit_of(b"\x00\x01", 15) == 1
+
+
+# -- grouped (view) queries -------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_scheme(ell):
+    return _scheme(ell=ell)
+
+
+def _mixed_support(scheme, seed, weights):
+    """Honest, mutated and foreign-params examples, one per weight."""
+    rng = np.random.default_rng(seed)
+    concept = random_concept(scheme, rng, t=int(rng.integers(0, scheme.domain_size + 1)))
+    foreign = scheme.gen(rng)
+    points = []
+    for _ in weights:
+        m = int(rng.integers(0, scheme.domain_size))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            points.append(Example(foreign.params, scheme.enc(foreign.sk, m)))
+        else:
+            x = concept.encrypt_example(m)
+            if kind == 1:
+                mutation = ("bitflip", "truncate", "random")[int(rng.integers(0, 3))]
+                x = Example(x.params, mutate_ciphertext(x.ct, mutation, rng))
+            points.append(x)
+    return concept, PointMassDistribution(points, weights)
+
+
+def _views(concept):
+    key = concept.key
+
+    def decrypted(x, b):
+        return concept.scheme.dec(key.sk, x.ct) if x.params == key.params else BOT
+
+    return [
+        sq._params_and_label,
+        lambda x, b: b,
+        lambda x, b: 1 - b,  # the same values as the label view, mapped apart
+        lambda x, b: len(x.ct) % 5,
+        lambda x, b: (x.ct[-1] & 3 if x.ct else None, b),  # truncation may empty a ciphertext
+        decrypted,
+    ]
+
+
+def _salted_test(salt, cut):
+    """A pure verdict per view value: a salted checksum of its repr below a cut."""
+    return lambda v: zlib.crc32(repr(v).encode() + salt) % 16 < cut
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=24),
+    queries=st.lists(
+        st.tuples(st.integers(0, 5), st.binary(max_size=4), st.integers(0, 16)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_view_query_equals_the_per_point_predicate(seed, weights, queries):
+    scheme = _cached_scheme(8)
+    concept, dist = _mixed_support(scheme, seed, weights)
+    views = _views(concept)
+    for mode in ("exact", "jitter"):
+        grouped = StatOracle(concept, dist, 0.05, mode=mode, rng=np.random.default_rng(seed))
+        plain = StatOracle(concept, dist, 0.05, mode=mode, rng=np.random.default_rng(seed))
+        for view_index, salt, cut in queries:  # repeats go through both memos
+            view, test = views[view_index], _salted_test(salt, cut)
+            answer = grouped.query(ViewQuery(view, test), 0.02)
+            assert answer == plain.query(lambda x, b: test(view(x, b)), 0.02)
+        assert grouped.query_count == plain.query_count == len(queries)
+
+
+def test_view_answers_are_memoized_per_view(rng):
+    # two views with the same values and the same passing set have their own answers
+    scheme = _scheme()
+    concept = random_concept(scheme, rng, t=512)
+    oracle = StatOracle(concept, _uniform_support_dist(concept, 64, rng), 0.05)
+    label = oracle.query(ViewQuery(lambda x, b: b, lambda v: v == 1), 0.05)
+    flipped = oracle.query(ViewQuery(lambda x, b: 1 - b, lambda v: v == 1), 0.05)
+    assert label == oracle.query(lambda x, b: b == 1, 0.05)
+    assert flipped == oracle.query(lambda x, b: b == 0, 0.05)
+    assert 0 < label < 1 and label + flipped == pytest.approx(1.0)
+
+
+def test_view_query_is_its_per_point_predicate():
+    psi = ViewQuery(lambda x, b: x + b, lambda v: v > 3)
+    assert psi(2, 2) is True and psi(1, 2) is False
+
+
+def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
+    scheme = _scheme(ell=10)
+    concept = random_concept(scheme, rng, t=37)  # far from the first midpoint
+    dist = _uniform_support_dist(concept, 256, rng)
+    oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
+    recovery = OracleKeyRecovery()
+    recovery.register(concept.key)
+
+    view_calls, counted = collections.Counter(), {}
+
+    def counting(view):
+        if view not in counted:
+
+            def wrapper(x, b):
+                view_calls[view] += 1
+                return view(x, b)
+
+            counted[view] = wrapper
+        return counted[view]
+
+    class CountingViewQuery(ViewQuery):
+        __slots__ = ()
+
+        def __init__(self, view, test):
+            super().__init__(counting(view), test)
+
+    dec_calls = []
+    dec = scheme.dec
+    monkeypatch.setattr(sq, "ViewQuery", CountingViewQuery)
+    monkeypatch.setattr(scheme, "dec", lambda *a: dec_calls.append(a) or dec(*a))
+    h = sq_learn(oracle, 0.05, recovery, scheme)
+
+    assert isinstance(h, DecryptThresholdHypothesis) and h.t > 0
+    assert oracle.query_count - (1 + 8 * scheme.params_len()) >= 3  # threshold queries
+    assert len(view_calls) == 2  # (params, label) and the decryption
+    assert set(view_calls.values()) == {256}
+    assert len(dec_calls) <= 256
+    assert dist.exact_error(h, concept) <= 0.05
 
 
 # -- learner ---------------------------------------------------------------------
