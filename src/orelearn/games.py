@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import OreScheme, PublicParams
 from .encthresh import Example
-from .opf import OpfSecretKey
 from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 
 __all__ = [
@@ -440,7 +439,7 @@ class EscrowKeyLeakAdversary:
         if not (isinstance(params, StrongParams) and params.cert_vk.kind == "escrow"):
             raise ValueError("the leak channel needs escrow-strengthened params")
         blob = params.cert_vk.serialize()
-        sk = OpfSecretKey(blob[len(b"escrow:") :], self.base_scheme.ell)
+        sk = self.base_scheme.key_from_bytes(blob[len(b"escrow:") :])
         parsed = self.strong_scheme.parse(cts[0])
         if parsed is None:
             return int(rng.integers(0, 2))

@@ -604,7 +604,7 @@ def _run_sq(config: ExperimentConfig):
             recovery = OracleKeyRecovery()
             recovery.register(concept.key)
         hypothesis = sq_learn(oracle, config.alpha, recovery, scheme)
-        err = dist.exact_error(hypothesis, concept)
+        err = oracle.error(hypothesis)
         recovered_t = getattr(hypothesis, "t", None)
         ok = err <= config.alpha and oracle.query_count <= bound
         all_good &= ok

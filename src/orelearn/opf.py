@@ -110,10 +110,14 @@ class OpfOre(OreScheme):
         master = hashlib.blake2b(
             coins, key=b"opf-master-key", digest_size=32
         ).digest()
-        sk = OpfSecretKey(master, self.ell)
+        sk = self.key_from_bytes(master)
         pid = hashlib.blake2b(master, key=b"opf-params-id", digest_size=16).digest()
         params = PublicParams(data=pid, ell=self.ell)
         return KeyMaterial(sk=sk, params=params, coins=coins)
+
+    def key_from_bytes(self, key: bytes) -> OpfSecretKey:
+        """The secret key whose master key bytes are ``key``, at this scheme's ell."""
+        return OpfSecretKey(key, self.ell)
 
     def params_len(self) -> int:
         return 16

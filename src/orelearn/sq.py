@@ -95,7 +95,8 @@ class StatOracle:
     answers are exact expectations, optionally jittered by noise uniform
     in [-tau, tau] (clipped to [0, 1], which preserves the tau bound).
     The query counter increments once per query, and jitter mode draws
-    once per query.
+    once per query.  Each support point is labelled once, when the oracle
+    is built, and ``error`` scores a hypothesis against those labels.
 
     A plain callable is called once per support point.  A ``ViewQuery``
     is answered by groups: the view of every support point is computed
@@ -150,6 +151,12 @@ class StatOracle:
             value = sum(w for (_, w, _), v in zip(self._support, values) if v in passing)
             self._answers[key] = value
         return value
+
+    def error(self, hypothesis) -> float:
+        """``distribution.exact_error(hypothesis, concept)`` bit for bit, scored
+        in support order against the stored labels; not a query, so it
+        neither counts nor draws."""
+        return sum(w for x, w, label in self._support if hypothesis.evaluate(x) != label)
 
     def query(self, psi, tau: float) -> float:
         if tau < self.tau_floor:
@@ -250,19 +257,15 @@ def sq_learn(
     if v < alpha / 2.0:
         return AllZeroesHypothesis()
 
-    n_bits = 8 * scheme.params_len()
-    bits = []
-    for i in range(n_bits):
+    data = bytearray(scheme.params_len())
+    for i in range(8 * len(data)):
         answer = oracle.query(
             ViewQuery(_params_and_label, lambda pb, i=i: pb[1] == 1 and bit_of(pb[0], i) == 1),
             alpha / 16.0,
         )
         # positive mass all lies on the target parameters, so the answer is
         # either ~0 or at least ~alpha/4 minus the tolerance
-        bits.append(1 if answer > alpha / 8.0 else 0)
-    data = bytearray(scheme.params_len())
-    for i, bit in enumerate(bits):
-        if bit:
+        if answer > alpha / 8.0:
             data[i >> 3] |= 1 << (7 - (i & 7))
     params = PublicParams(data=bytes(data), ell=scheme.ell)
 

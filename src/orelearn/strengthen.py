@@ -10,17 +10,21 @@ the range of the deterministic base encryption, where weak correctness
 already makes comparison agree with decryption — which is exactly strong
 correctness.
 
-Two interchangeable certifier back-ends are shipped:
+Certifiers take the statement as its parsed fields (params' bytes, sigma,
+c'): ``certify(base_params, sigma, base_ct)`` and ``verify(base_params,
+sigma, base_ct, cert)``.  Verdicts are memoized on each verify key by that
+field tuple plus the certificate, with at most 4097 entries per key.  Two
+interchangeable certifier back-ends are shipped:
 
 * ``SignatureCertifier`` — publicly verifiable: the certificate is an
-  Ed25519 signature over the canonical statement encoding, signed with a
-  key generated inside gen and kept in the secret key.  Soundness is
+  Ed25519 signature over the statement encoding of the fields, signed with
+  a key generated inside gen and kept in the secret key.  Soundness is
   computational (forging a certificate means forging a signature).
 * ``EscrowCertifier`` — simulation-only, perfectly sound: the certificate
   is empty and the verification key holds a sealed reference to the base
-  secret key, used solely to re-encrypt the decryption and compare bytes.
-  Its serialized form leaks the base key bytes to the harness; never
-  deploy it.
+  secret key, used solely to re-encrypt the decryption and compare bytes;
+  no statement is encoded.  Its serialized form leaks the base key bytes
+  to the harness; never deploy it.
 
 Strengthened ciphertext layout (bit exact)::
 
@@ -103,12 +107,10 @@ def binding_check(values, randomness_values) -> CheckReport:
 # Certifiers
 # ---------------------------------------------------------------------------
 
-_STATEMENT_DOMAIN = b"ore-statement-v1"
-
 
 def statement_bytes(base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
     """Canonical encoding of the well-formedness statement for one ciphertext."""
-    return _STATEMENT_DOMAIN + encode_blob(base_params, sigma, base_ct)
+    return b"ore-statement-v1" + encode_blob(base_params, sigma, base_ct)
 
 
 class SignatureCertifier:
@@ -127,13 +129,11 @@ class SignatureCertifier:
 class _SignatureProvingKey:
     __slots__ = ("sk",)
 
-    needs_statement = True
-
     def __init__(self, sk: Ed25519PrivateKey):
         self.sk = sk
 
-    def certify(self, statement: bytes) -> bytes:
-        return self.sk.sign(statement)
+    def certify(self, base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
+        return self.sk.sign(statement_bytes(base_params, sigma, base_ct))
 
 
 class _SignatureVerifyKey:
@@ -149,9 +149,9 @@ class _SignatureVerifyKey:
     def serialize(self) -> bytes:
         return b"sig:" + self.vk_bytes
 
-    def verify(self, statement: bytes, cert: bytes) -> bool:
+    def verify(self, base_params: bytes, sigma: bytes, base_ct: bytes, cert: bytes) -> bool:
         try:
-            self._vk.verify(cert, statement)
+            self._vk.verify(cert, statement_bytes(base_params, sigma, base_ct))
             return True
         except (InvalidSignature, ValueError):
             return False
@@ -176,9 +176,7 @@ class EscrowCertifier:
 class _EscrowProvingKey:
     __slots__ = ()
 
-    needs_statement = False
-
-    def certify(self, statement: bytes) -> bytes:
+    def certify(self, base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
         return b""
 
 
@@ -196,13 +194,7 @@ class _EscrowVerifyKey:
         # leaks the sealed key bytes; escrow mode is simulation-only
         return b"escrow:" + self._base_sk.key
 
-    def verify(self, statement: bytes, cert: bytes) -> bool:
-        if statement[: len(_STATEMENT_DOMAIN)] != _STATEMENT_DOMAIN:
-            return False
-        fields = decode_blob(statement[len(_STATEMENT_DOMAIN) :], 3)
-        if fields is None:
-            return False
-        base_ct = fields[2]
+    def verify(self, base_params: bytes, sigma: bytes, base_ct: bytes, cert: bytes) -> bool:
         m = self._base.dec(self._base_sk, base_ct)
         if m is BOT:
             return False
@@ -287,11 +279,7 @@ class StrengthenedOre(OreScheme):
 
     def _certified(self, sk: StrongSecretKey, base_ct: bytes) -> bytes:
         """Wrap a base ciphertext with its well-formedness certificate."""
-        if sk.proving_key.needs_statement:
-            stmt = statement_bytes(sk.base_params.data, sk.sigma, base_ct)
-        else:
-            stmt = b""
-        cert = sk.proving_key.certify(stmt)
+        cert = sk.proving_key.certify(sk.base_params.data, sk.sigma, base_ct)
         return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
 
     def parse(self, ct: bytes):
@@ -303,22 +291,22 @@ class StrengthenedOre(OreScheme):
             return None
         return fields[0], fields[1]
 
-    def _verify(self, cert_vk, stmt: bytes, cert: bytes) -> bool:
-        """``cert_vk.verify(stmt, cert)`` through the key's bounded verdict memo.
+    def _verify(self, cert_vk, *fields: bytes) -> bool:
+        """``cert_vk.verify(*fields)`` through the key's bounded verdict memo.
 
-        Verification is a pure function of (key, statement, certificate), so
-        the memo cannot change results; it lives on the verify key, so it
-        dies with the key.
+        Verification is a pure function of the key and the whole field
+        tuple (base_params, sigma, base_ct, cert), so a memo keyed by that
+        tuple cannot change results; it lives on the verify key, so it dies
+        with the key.
         """
         memo = cert_vk.verdicts
-        key = (stmt, cert)
-        hit = memo.get(key)
+        hit = memo.get(fields)
         if hit is not None:
             return hit
-        ok = cert_vk.verify(stmt, cert)
+        ok = cert_vk.verify(*fields)
         if len(memo) > 4096:
             memo.clear()
-        memo[key] = ok
+        memo[fields] = ok
         return ok
 
     def dec(self, sk: StrongSecretKey, ct: bytes):
@@ -326,8 +314,7 @@ class StrengthenedOre(OreScheme):
         if parsed is None:
             return BOT
         base_ct, cert = parsed
-        stmt = statement_bytes(sk.base_params.data, sk.sigma, base_ct)
-        if not self._verify(sk.cert_vk, stmt, cert):
+        if not self._verify(sk.cert_vk, sk.base_params.data, sk.sigma, base_ct, cert):
             return BOT
         return self.base.dec(sk.base_sk, base_ct)
 
@@ -348,8 +335,7 @@ class StrengthenedOre(OreScheme):
         base_params = params.base_params
 
         def verified(parsed) -> bool:
-            stmt = statement_bytes(base_params.data, params.sigma, parsed[0])
-            return self._verify(params.cert_vk, stmt, parsed[1])
+            return self._verify(params.cert_vk, base_params.data, params.sigma, *parsed)
 
         anchor_ok = None  # c1's verdict, once some c0 needs it
         out = []

@@ -182,6 +182,23 @@ def test_verdict_memo_is_keyed_by_the_verify_key(certifier, rng):
     assert scheme.comp_many(mixed, [ct, anchor, ct], anchor) == [BOT] * 3
 
 
+@pytest.mark.parametrize("field", ["sigma", "base_params"])
+def test_verdict_memo_is_keyed_by_every_statement_field(field, rng):
+    # a signature verdict memoized under the honest (base params, sigma) must
+    # not answer for the same cert_vk paired with another key's field
+    scheme = _scheme("signature", 8)
+    key_a, key_b = scheme.gen(rng), scheme.gen(rng)
+    ct, anchor = scheme.enc_many(key_a.sk, [5, 9])
+    assert scheme.dec(key_a.sk, ct) == 5
+    assert scheme.comp(key_a.params, ct, anchor) is Ordering3.LT  # both verdicts memoized
+    other = getattr(key_b.sk, field)
+    sk = dataclasses.replace(key_a.sk, **{field: other})
+    params = dataclasses.replace(key_a.params, **{field: other})
+    assert scheme.dec(sk, ct) is BOT
+    assert scheme.comp(params, ct, anchor) is BOT
+    assert scheme.comp_many(params, [ct, anchor, ct], anchor) == [BOT] * 3
+
+
 def test_verdict_memo_dies_with_its_key(rng):
     # an escrow verify key holds its base secret key and that key's tag memo;
     # verdicts memoized under a finished key must not keep either alive

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from orelearn.encthresh import (
     AllZeroesHypothesis,
+    ComparatorHypothesis,
     DecryptThresholdHypothesis,
+    EncThreshConcept,
     Example,
     PointMassDistribution,
     random_concept,
 )
 from orelearn import sq
 from orelearn.core import BOT, mutate_ciphertext
+from orelearn.harness import ExperimentConfig, run
 from orelearn.opf import OpfOre
 from orelearn.sq import (
     KeyRecoveryError,
@@ -231,6 +234,46 @@ def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
     assert set(view_calls.values()) == {256}
     assert len(dec_calls) <= 256
     assert dist.exact_error(h, concept) <= 0.05
+
+
+def test_sq_trial_decrypts_each_point_once_per_role(monkeypatch):
+    # on a 256-point support: the oracle's labels, the learner's decryption
+    # view and the hypothesis's error each decrypt every point once, and
+    # the error reuses the labels instead of evaluating the concept again
+    dec_calls, label_calls = [], []
+    dec, evaluate = StrengthenedOre.dec, EncThreshConcept.evaluate
+    monkeypatch.setattr(StrengthenedOre, "dec", lambda *a: dec_calls.append(a) or dec(*a))
+    monkeypatch.setattr(
+        EncThreshConcept, "evaluate", lambda *a: label_calls.append(a) or evaluate(*a)
+    )
+    report = run(ExperimentConfig.from_dict({"experiment": "sq", "ell": 10, "trials": 1}))
+
+    assert report.passed and report.rows[0]["hypothesis"] == "threshold"
+    assert len(dec_calls) <= 768
+    assert len(label_calls) <= 256
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=64),
+    t=st.integers(0, 256),
+    anchor=st.integers(0, 255),
+)
+def test_oracle_error_is_the_exact_error(seed, weights, t, anchor):
+    scheme = _cached_scheme(8)
+    concept, dist = _mixed_support(scheme, seed, weights)
+    key = concept.key
+    oracle = StatOracle(concept, dist, 0.05, mode="jitter", rng=np.random.default_rng(seed))
+    for h in (
+        AllZeroesHypothesis(),
+        ComparatorHypothesis(scheme, key.params, scheme.enc(key.sk, anchor)),
+        DecryptThresholdHypothesis(scheme, key.params, key.sk, t),
+    ):
+        assert oracle.error(h) == dist.exact_error(h, concept)
+    # scoring is not a query: no count and no jitter draw
+    assert oracle.query_count == 0
+    assert oracle.rng.random() == np.random.default_rng(seed).random()
 
 
 # -- learner ---------------------------------------------------------------------

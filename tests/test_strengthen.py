@@ -2,6 +2,7 @@
 comp == decrypt-then-compare on arbitrary bytes."""
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings, strategies as st
 
 from orelearn.core import (
@@ -107,8 +108,17 @@ def test_escrow_rejects_the_spliced_forgery_witness(rng):
     scheme = StrengthenedOre(base, EscrowCertifier())
     key = scheme.gen(rng)
     witness = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
-    stmt = statement_bytes(key.sk.base_params.data, key.sk.sigma, witness)
-    assert key.sk.cert_vk.verify(stmt, b"") is False
+    assert key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, witness, b"") is False
+
+
+def test_signature_certificate_signs_the_statement_bytes(rng):
+    # the signed bytes are the documented statement encoding of the fields
+    scheme = _sig_scheme()
+    key = scheme.gen(rng)
+    base_ct, cert = scheme.parse(scheme.enc(key.sk, 42))
+    stmt = statement_bytes(key.sk.base_params.data, key.sk.sigma, base_ct)
+    assert stmt == b"ore-statement-v1" + encode_blob(key.sk.base_params.data, key.sk.sigma, base_ct)
+    Ed25519PublicKey.from_public_bytes(key.params.cert_vk.vk_bytes).verify(cert, stmt)
 
 
 # -- the strengthened scheme --------------------------------------------------
