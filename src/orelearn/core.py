@@ -160,14 +160,13 @@ class KeyMaterial:
 class OreScheme:
     """Interface for an ORE scheme over the domain {0, ..., 2**ell - 1}.
 
-    Concrete schemes fix (lam, ell) at construction and are immutable
+    Concrete schemes fix ell at construction and are immutable
     afterwards.  ``gen`` must be a deterministic function of the coin
     string, ``enc``/``dec``/``comp`` deterministic functions of their
     arguments.
     """
 
     name = "abstract"
-    lam: int
     ell: int
     coin_len: int
 
@@ -202,7 +201,7 @@ class OreScheme:
         return [self.comp(params, c0, c1) for c0 in cts]
 
     def params_len(self) -> int:
-        """Byte length of ``params.data``, fixed for a given (lam, ell)."""
+        """Byte length of ``params.data``, fixed for a given ell."""
         raise NotImplementedError
 
     def _check_message(self, m: int):
@@ -335,17 +334,16 @@ def check_strong_correctness(
     key: KeyMaterial,
     trials: int,
     rng: np.random.Generator,
-    sampler: "FuzzPairSampler | None" = None,
     extra_pairs: Sequence[tuple[bytes, bytes]] = (),
 ) -> CheckReport:
     """Verify comp(params, c0, c1) == comp_ciph(sk, c0, c1) on fuzzed pairs.
 
-    The identity must hold exactly, including BOT agreement.  ``extra_pairs``
-    lets callers inject constructed witnesses (e.g. spliced tag/payload
-    forgeries) alongside the sampled classes.
+    The pairs come from a ``FuzzPairSampler`` of the key.  The identity must
+    hold exactly, including BOT agreement.  ``extra_pairs`` lets callers
+    inject constructed witnesses (e.g. spliced tag/payload forgeries)
+    alongside the sampled classes.
     """
-    if sampler is None:
-        sampler = FuzzPairSampler(scheme, key)
+    sampler = FuzzPairSampler(scheme, key)
     report = CheckReport()
 
     def check_pair(c0: bytes, c1: bytes, cls: str):

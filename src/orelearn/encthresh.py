@@ -257,42 +257,17 @@ def empirical_error(
     return bad / samples
 
 
-def _valid_uniform_error(hypothesis, concept: EncThreshConcept) -> float:
-    """Closed-form error of a hypothesis on uniform valid encryptions.
-
-    Requires a strongly correct scheme, under which a comparator anchored
-    at a ciphertext of m_a accepts exactly the encryptions of {0..m_a}.
-    """
-    n_total = concept.scheme.domain_size
-    t = concept.t
-    if isinstance(hypothesis, AllZeroesHypothesis):
-        return t / n_total
-    if isinstance(hypothesis, ComparatorHypothesis):
-        if hypothesis.params != concept.key.params:
-            return t / n_total  # hypothesis rejects this key's examples entirely
-        anchor_m = concept.scheme.dec(concept.key.sk, hypothesis.anchor)
-        if anchor_m is BOT:
-            return t / n_total  # BOT anchor never accepts under strong correctness
-        return abs((anchor_m + 1) - t) / n_total
-    if isinstance(hypothesis, DecryptThresholdHypothesis):
-        if hypothesis.params != concept.key.params:
-            return t / n_total
-        return abs(hypothesis.t - t) / n_total
-    raise TypeError(f"no closed-form error for {type(hypothesis).__name__}")
-
-
-def _require_strong(scheme: OreScheme):
-    if not isinstance(scheme, StrengthenedOre):
-        raise TypeError(
-            "exact error formulas assume a strongly correct scheme; "
-            "use empirical_error for weak schemes"
-        )
-
-
 class UniformValidDistribution:
-    """Encryptions of uniform messages under the concept's own key."""
+    """Encryptions of uniform messages under the concept's own key.
+
+    The two mixtures below subclass it: each draws from this family with
+    probability ``valid_weight`` and elsewhere puts mass that the concept
+    and every hypothesis reject under a strongly correct scheme, so all
+    three share one ``exact_error``.
+    """
 
     name = "uniform"
+    valid_weight = 1.0
 
     def __init__(self, concept: EncThreshConcept):
         self.concept = concept
@@ -302,26 +277,47 @@ class UniformValidDistribution:
         return self.concept.encrypt_example(m)
 
     def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
-        _require_strong(concept.scheme)
-        return _valid_uniform_error(hypothesis, concept)
+        """Closed-form error: ``valid_weight`` times the error on uniform
+        valid encryptions.
+
+        Requires a strongly correct scheme, under which a comparator anchored
+        at a ciphertext of m_a accepts exactly the encryptions of {0..m_a};
+        raises TypeError for a weak scheme or a hypothesis with no closed form.
+        """
+        if not isinstance(concept.scheme, StrengthenedOre):
+            raise TypeError(
+                "exact error formulas assume a strongly correct scheme; "
+                "use empirical_error for weak schemes"
+            )
+        t = concept.t
+        if isinstance(hypothesis, AllZeroesHypothesis):
+            wrong = t
+        elif isinstance(hypothesis, ComparatorHypothesis):
+            anchor_m = BOT
+            if hypothesis.params == concept.key.params:
+                anchor_m = concept.scheme.dec(concept.key.sk, hypothesis.anchor)
+            # a foreign-params or BOT anchor accepts nothing under strong correctness
+            wrong = t if anchor_m is BOT else abs((anchor_m + 1) - t)
+        elif isinstance(hypothesis, DecryptThresholdHypothesis):
+            wrong = abs(hypothesis.t - t) if hypothesis.params == concept.key.params else t
+        else:
+            raise TypeError(f"no closed-form error for {type(hypothesis).__name__}")
+        return self.valid_weight * (wrong / concept.scheme.domain_size)
 
 
 _MALFORMED_KINDS = ("random", "bitflip", "truncate")  # equal weights, in draw order
 
 
-class MalformedMixtureDistribution:
+class MalformedMixtureDistribution(UniformValidDistribution):
     """Mostly malformed ciphertexts (still carrying the right params).
 
     The malformed mass is where weakly correct comparison falls apart;
     under a strongly correct scheme both the concept and any comparator
-    hypothesis reject it, so it contributes zero error.
+    hypothesis reject it, so only the valid slice (weight 0.3) carries error.
     """
 
     name = "malformed"
-
-    def __init__(self, concept: EncThreshConcept, valid_weight: float = 0.3):
-        self.concept = concept
-        self.valid_weight = valid_weight
+    valid_weight = 0.3
 
     def sample(self, rng: np.random.Generator) -> Example:
         m = int(rng.integers(0, self.concept.scheme.domain_size))
@@ -331,41 +327,29 @@ class MalformedMixtureDistribution:
         kind = _MALFORMED_KINDS[int(rng.integers(0, 3))]
         return Example(ex.params, mutate_ciphertext(ex.ct, kind, rng))
 
-    def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
-        _require_strong(concept.scheme)
-        return self.valid_weight * _valid_uniform_error(hypothesis, concept)
 
-
-class WrongParamsMixtureDistribution:
+class WrongParamsMixtureDistribution(UniformValidDistribution):
     """Mostly examples under a decoy key's parameters.
 
     Both the concept and any hypothesis anchored at the real parameters
-    reject foreign-params examples, so only the valid slice carries error.
+    reject foreign-params examples, so only the valid slice (weight 0.3)
+    carries error.
     """
 
     name = "wrongparams"
+    valid_weight = 0.3
 
-    def __init__(
-        self,
-        concept: EncThreshConcept,
-        decoy: KeyMaterial,
-        valid_weight: float = 0.3,
-    ):
+    def __init__(self, concept: EncThreshConcept, decoy: KeyMaterial):
         if decoy.params == concept.key.params:
             raise ValueError("decoy key collides with the concept key")
-        self.concept = concept
+        super().__init__(concept)
         self.decoy = decoy
-        self.valid_weight = valid_weight
 
     def sample(self, rng: np.random.Generator) -> Example:
         m = int(rng.integers(0, self.concept.scheme.domain_size))
         if rng.random() < self.valid_weight:
             return self.concept.encrypt_example(m)
         return Example(self.decoy.params, self.concept.scheme.enc(self.decoy.sk, m))
-
-    def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
-        _require_strong(concept.scheme)
-        return self.valid_weight * _valid_uniform_error(hypothesis, concept)
 
 
 class PointMassDistribution:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import OreScheme, PublicParams
 from .encthresh import Example
+from .reident import draw_buckets
 from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 
 __all__ = [
@@ -269,34 +270,30 @@ def adversary_success_prob(p: float, q: float) -> float:
 class ReductionAdversary:
     """Static-game adversary wrapping a learner (steps 1-5 of the reduction).
 
-    Per trial: sample n uniform messages; locate the sorted position of the
-    target raw index; draw the left challenge pair from one random adjacent
-    bucket and the right pair across both buckets; hand the learner the
-    sample with the target replaced by a junk encryption of 0 labeled 1;
-    guess "left" iff the hypothesis agrees on the two challenge
+    Per trial: draw n uniform messages with ``draw_buckets``, as ``gen_ex``
+    does, and label them by the middle threshold t = N/2; locate the sorted
+    position of the target raw index; draw the left challenge pair from one
+    random adjacent bucket and the right pair across both buckets; hand the
+    learner the sample with the target replaced by a junk encryption of 0
+    labeled 1; guess "left" iff the hypothesis agrees on the two challenge
     ciphertexts.  Draws that are not well-spaced (or that collide inside a
     bucket) flag the trial and fall back to a random guess.
     """
 
-    def __init__(self, scheme: OreScheme, learner, n: int, j_star: int, t=None):
+    def __init__(self, scheme: OreScheme, learner, n: int, j_star: int):
         if not (1 <= j_star <= n):
             raise ValueError("j_star must be a sample index in [1, n]")
         self.scheme = scheme
         self.learner = learner
         self.n = n
         self.j_star = j_star
-        self.t = scheme.domain_size // 2 if t is None else t
         self._trial = None
         self.transcript_flags = {}
 
     def choose_challenge(self, rng: np.random.Generator) -> ChallengePair:
-        n, big_n = self.n, self.scheme.domain_size
-        raw = rng.integers(0, big_n, size=n)
-        order = np.argsort(raw, kind="stable")
-        s = raw[order]
+        n = self.n
+        raw, order, bounds, well_spaced = draw_buckets(self.scheme.domain_size, n, rng)
         idx = int(np.nonzero(order == self.j_star - 1)[0][0])
-        bounds = np.concatenate(([0], s, [big_n - 1]))
-        well_spaced = bool(np.all(np.diff(bounds) > 1))
         degenerate = not well_spaced
         if not degenerate:
             lo0, hi0 = int(bounds[idx]), int(bounds[idx + 1])  # bucket below
@@ -315,8 +312,8 @@ class ReductionAdversary:
             self._trial = {"degenerate": True}
             self.transcript_flags = {"degenerate": True, "not_well_spaced": not well_spaced}
             return ChallengePair(left=filler, right=filler)
-        prefix = [0] + [int(v) for v in s[:idx]]
-        suffix = [int(v) for v in s[idx + 1 :]]
+        prefix = bounds[: idx + 1].tolist()  # 0 and the sorted draws below the target
+        suffix = bounds[idx + 2 : -1].tolist()
         left = tuple(prefix + [m_l0, m_l1] + suffix)
         right = tuple(prefix + [m_r0, m_r1] + suffix)
         self._trial = {
@@ -334,7 +331,7 @@ class ReductionAdversary:
         if trial is None or trial["degenerate"]:
             return int(rng.integers(0, 2))
         raw, order, idx = trial["raw"], trial["order"], trial["idx"]
-        n = self.n
+        n, t = self.n, self.scheme.domain_size // 2
         inv = np.empty(n, dtype=np.int64)
         inv[order] = np.arange(n)
         sample = []
@@ -344,7 +341,7 @@ class ReductionAdversary:
                 continue
             k = int(inv[j0])
             ct_index = 1 + k if k < idx else 2 + k
-            label = 1 if int(raw[j0]) < self.t else 0
+            label = 1 if int(raw[j0]) < t else 0
             sample.append((Example(params, cts[ct_index]), label))
         hypothesis = self.learner(sample)
         y0 = hypothesis.evaluate(Example(params, cts[idx + 1]))
@@ -383,13 +380,10 @@ def synthetic_reduction_win_rate(
 
 
 class RandomGuessAdversary:
-    """Baseline: fixed identical challenge sides, uniformly random guess."""
-
-    def __init__(self, q: int = 4):
-        self.q = q
+    """Baseline: identical challenge sides (0, 1, 2, 3), uniformly random guess."""
 
     def choose_challenge(self, rng) -> ChallengePair:
-        side = tuple(range(self.q))
+        side = (0, 1, 2, 3)
         return ChallengePair(left=side, right=side)
 
     def guess(self, params, cts, rng) -> int:

@@ -127,7 +127,7 @@ _TYPE_CHECKS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    lam: int = 128
+    lam: int = 128  # type-checked and hashed into every report; nothing reads it
     ell: int = 16
     n: int = 50
     alpha: float = 0.05
@@ -193,8 +193,8 @@ class ExperimentConfig:
             raise ConfigError("gamma", "must lie in (0, 0.5]")
         if not (0 < self.xi < 1):
             raise ConfigError("xi", "must lie in (0, 1)")
-        if not (self.eps >= 0):
-            raise ConfigError("eps", "must be >= 0")
+        if not (0 <= self.eps <= 700):  # dp_bound needs a finite float e**eps
+            raise ConfigError("eps", "must lie in [0, 700]")
         for name, allowed in (
             ("scheme", _SCHEMES),
             ("certifier", tuple(_CERTIFIERS)),
@@ -254,7 +254,7 @@ def derive_trial_rng(
 
 
 def build_scheme(config: ExperimentConfig, coin_len: int = 32):
-    base = OpfOre(lam=config.lam, ell=config.ell, coin_len=coin_len)
+    base = OpfOre(ell=config.ell, coin_len=coin_len)
     if config.scheme == "opf":
         return base
     return StrengthenedOre(base, _CERTIFIERS[config.certifier]())
@@ -518,13 +518,13 @@ def _run_games(config: ExperimentConfig):
     left = tuple(lo + i * span // q for i in range(q))
     right = tuple(lo + span // (2 * q) + i * span // q for i in range(q))
     if config.mode == "random":
-        adversary = RandomGuessAdversary(q=q)
+        adversary = RandomGuessAdversary()
         gate = lambda rep: rep.advantage <= 0.03 + rep.ci_halfwidth
     elif config.mode == "payload":
         adversary = PayloadBitAdversary(ChallengePair(left, right))
         gate = lambda rep: rep.advantage <= 0.03 + rep.ci_halfwidth
     elif config.mode == "leak":
-        adversary = EscrowKeyLeakAdversary(OpfOre(config.lam, config.ell), ChallengePair(left, right))
+        adversary = EscrowKeyLeakAdversary(OpfOre(config.ell), ChallengePair(left, right))
         gate = lambda rep: rep.advantage >= 0.9
     else:  # reduction
         learner = lambda sample: pac_learn(scheme, sample)

@@ -36,9 +36,10 @@ from bisect import bisect_left
 
 from .core import BOT, KeyMaterial, Ordering3, OreScheme, PublicParams, compare_ints
 
-__all__ = ["OpfOre", "OpfSecretKey", "forge_spliced_ciphertext", "OPF_VERSION"]
+__all__ = ["OpfOre", "OpfSecretKey", "forge_spliced_ciphertext", "OPF_VERSION", "TAG_MEMO_MAX"]
 
 OPF_VERSION = 0x01
+TAG_MEMO_MAX = 1 << 18  # a key's tag memo is cleared once it holds more entries
 _MASKED_LEN = 8
 _AUTH_LEN = 16
 
@@ -95,10 +96,9 @@ class OpfOre(OreScheme):
 
     name = "opf"
 
-    def __init__(self, lam: int = 128, ell: int = 16, coin_len: int = 32):
+    def __init__(self, ell: int = 16, coin_len: int = 32):
         if not (1 <= ell <= 64):
             raise ValueError(f"ell must be in [1, 64], got {ell}")
-        self.lam = lam
         self.ell = ell
         self.coin_len = coin_len
         self.tag_bits = 3 * ell
@@ -172,7 +172,7 @@ class OpfOre(OreScheme):
     @staticmethod
     def _remember(sk: OpfSecretKey, m: int, t: int) -> int:
         """Store t as m's tag in the bounded tag memo; return t."""
-        if len(sk._tags) > (1 << 18):
+        if len(sk._tags) > TAG_MEMO_MAX:
             sk._tags.clear()
         sk._tags[m] = t
         return t

@@ -31,20 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encthresh import (
-    AllZeroesHypothesis,
-    ComparatorHypothesis,
-    DecryptThresholdHypothesis,
-    EncThreshConcept,
-    Example,
-    UniformValidDistribution,
-    empirical_error,
-)
+from .encthresh import EncThreshConcept, Example, UniformValidDistribution, empirical_error
 from .core import OreScheme
 
 __all__ = [
     "ReidentState",
     "TraceVerdict",
+    "draw_buckets",
     "gen_ex",
     "sample_without",
     "concentration_sample_count",
@@ -69,7 +62,7 @@ class ReidentState:
 
     concept: EncThreshConcept
     raw_messages: np.ndarray  # m'_1..m'_n in draw order
-    sorted_messages: np.ndarray  # m_1 <= ... <= m_n
+    bucket_bounds: np.ndarray  # 0, m_1 <= ... <= m_n, N-1; bucket i is [b_i, b_{i+1})
     sorted_to_raw: np.ndarray  # raw (0-based) index of each sorted position
     junk_example: Example  # encryption of m_0 = 0, labeled 1
     well_spaced: bool
@@ -79,10 +72,9 @@ class ReidentState:
         return len(self.raw_messages)
 
     @property
-    def bucket_bounds(self) -> np.ndarray:
-        """n+2 boundaries: 0, m_1, ..., m_n, N-1; bucket i is [b_i, b_{i+1})."""
-        big_n = self.concept.scheme.domain_size
-        return np.concatenate(([0], self.sorted_messages, [big_n - 1]))
+    def sorted_messages(self) -> np.ndarray:
+        """m_1 <= ... <= m_n."""
+        return self.bucket_bounds[1:-1]
 
 
 @dataclass
@@ -93,6 +85,21 @@ class TraceVerdict:
     k_used: int
     k_conforming: bool  # False when a reduced K was used
     degraded: bool = False  # True when empty buckets inherited estimates
+
+
+def draw_buckets(
+    big_n: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Draw n uniform messages of {0, ..., N-1} and the buckets they split.
+
+    Returns the draws in draw order, their stable sort order, the n+2
+    bucket bounds (0, m_1, ..., m_n, N-1) and whether the draw is
+    well-spaced: every gap between bounds, sentinels included, exceeds one.
+    """
+    raw = rng.integers(0, big_n, size=n)
+    order = np.argsort(raw, kind="stable")
+    bounds = np.concatenate(([0], raw[order], [big_n - 1]))
+    return raw, order, bounds, bool(np.all(np.diff(bounds) > 1))
 
 
 def gen_ex(
@@ -117,16 +124,12 @@ def gen_ex(
         )
     key = scheme.gen(rng)
     concept = EncThreshConcept(scheme=scheme, t=big_n // 2, key=key)
-    raw = rng.integers(0, big_n, size=n)
-    order = np.argsort(raw, kind="stable")
-    s = raw[order]
-    bounds = np.concatenate(([0], s, [big_n - 1]))
-    well_spaced = bool(np.all(np.diff(bounds) > 1))
+    raw, order, bounds, well_spaced = draw_buckets(big_n, n, rng)
     junk, *examples = concept.encrypt_examples([0] + raw.tolist())
     state = ReidentState(
         concept=concept,
         raw_messages=raw,
-        sorted_messages=s,
+        bucket_bounds=bounds,
         sorted_to_raw=order,
         junk_example=junk,
         well_spaced=well_spaced,
@@ -243,13 +246,10 @@ def trace_ex(
 def _hypothesis_error(state: ReidentState, hypothesis, rng) -> float:
     """Error under the run's own distribution (uniform valid encryptions)."""
     dist = UniformValidDistribution(state.concept)
-    known = (AllZeroesHypothesis, ComparatorHypothesis, DecryptThresholdHypothesis)
-    if isinstance(hypothesis, known):
-        try:
-            return dist.exact_error(hypothesis, state.concept)
-        except TypeError:
-            pass
-    return empirical_error(hypothesis, state.concept, dist, 2000, rng)
+    try:
+        return dist.exact_error(hypothesis, state.concept)
+    except TypeError:  # a weak scheme, or a hypothesis with no closed form
+        return empirical_error(hypothesis, state.concept, dist, 2000, rng)
 
 
 def _share(rows: list, pred) -> float:

@@ -97,6 +97,9 @@ class StatOracle:
     The query counter increments once per query, and jitter mode draws
     once per query.  Each support point is labelled once, when the oracle
     is built, and ``error`` scores a hypothesis against those labels.
+    The tolerance floor is ``tolerance_floor(k, alpha)`` with k the bit
+    length of an instance: the params bytes plus the longest ciphertext in
+    the support.
 
     A plain callable is called once per support point.  A ``ViewQuery``
     is answered by groups: the view of every support point is computed
@@ -114,23 +117,18 @@ class StatOracle:
         alpha: float,
         mode: str = "exact",
         rng: "np.random.Generator | None" = None,
-        k_bits: "int | None" = None,
     ):
         if mode not in ("exact", "jitter"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         if mode == "jitter" and rng is None:
             raise ValueError("jitter mode needs an rng")
-        self.concept = concept
         self.mode = mode
         self.rng = rng
         self._support = [
             (x, w, concept.evaluate(x)) for x, w in distribution.support()
         ]
-        if k_bits is None:
-            # instance description length: params bytes plus a ciphertext
-            max_ct = max(len(x.ct) for x, _, _ in self._support)
-            k_bits = 8 * (concept.scheme.params_len() + max_ct)
-        self.k_bits = k_bits
+        max_ct = max(len(x.ct) for x, _, _ in self._support)
+        k_bits = 8 * (concept.scheme.params_len() + max_ct)
         self.tau_floor = tolerance_floor(k_bits, alpha)
         self.query_count = 0
         self._views: dict = {}  # view function -> (value per support point, distinct values)

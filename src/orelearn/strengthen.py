@@ -13,8 +13,8 @@ correctness.
 Certifiers take the statement as its parsed fields (params' bytes, sigma,
 c'): ``certify(base_params, sigma, base_ct)`` and ``verify(base_params,
 sigma, base_ct, cert)``.  Verdicts are memoized on each verify key by that
-field tuple plus the certificate, with at most 4097 entries per key.  Two
-interchangeable certifier back-ends are shipped:
+field tuple plus the certificate, with at most ``VERDICT_MEMO_MAX + 1``
+entries per key.  Two interchangeable certifier back-ends are shipped:
 
 * ``SignatureCertifier`` — publicly verifiable: the certificate is an
   Ed25519 signature over the statement encoding of the fields, signed with
@@ -65,9 +65,11 @@ __all__ = [
     "StrongSecretKey",
     "StrongParams",
     "STRONG_VERSION",
+    "VERDICT_MEMO_MAX",
 ]
 
 STRONG_VERSION = 0x02
+VERDICT_MEMO_MAX = 4096  # a verify key's verdict memo is cleared once it holds more entries
 _COMMIT_LEN = 32
 
 
@@ -238,7 +240,6 @@ class StrengthenedOre(OreScheme):
     def __init__(self, base: OreScheme, certifier):
         self.base = base
         self.certifier = certifier
-        self.lam = base.lam
         self.ell = base.ell
         self.coin_len = base.coin_len
         self.name = f"strong-{certifier.name}"
@@ -304,7 +305,7 @@ class StrengthenedOre(OreScheme):
         if hit is not None:
             return hit
         ok = cert_vk.verify(*fields)
-        if len(memo) > 4096:
+        if len(memo) > VERDICT_MEMO_MAX:
             memo.clear()
         memo[fields] = ok
         return ok

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orelearn import reident
+from orelearn import reident, strengthen
 from orelearn.core import BOT, Ordering3, encode_blob, mutate_ciphertext
 from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
-from orelearn.opf import OpfOre, forge_spliced_ciphertext
+from orelearn.opf import TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
 from orelearn.reident import estimate_bucket_probs, gen_ex
 from orelearn.strengthen import (
     STRONG_VERSION,
@@ -80,9 +80,9 @@ def test_enc_many_equals_per_item_enc(kind, batch, coins):
 def test_tag_many_keeps_the_tag_memo_bounded():
     scheme = _scheme("opf", 19)
     sk = _fresh_key(scheme, bytes(32)).sk
-    ms = list(range((1 << 18) + 5))
+    ms = list(range(TAG_MEMO_MAX + 5))
     tags = scheme.tag_many(sk, ms)
-    assert len(sk._tags) <= (1 << 18) + 1
+    assert len(sk._tags) <= TAG_MEMO_MAX + 1
     item_sk = _fresh_key(scheme, bytes(32)).sk
     assert [tags[m] for m in (0, 1, 1 << 17, len(ms) - 1)] == [
         scheme.tag(item_sk, m) for m in (0, 1, 1 << 17, len(ms) - 1)
@@ -197,6 +197,51 @@ def test_verdict_memo_is_keyed_by_every_statement_field(field, rng):
     assert scheme.dec(sk, ct) is BOT
     assert scheme.comp(params, ct, anchor) is BOT
     assert scheme.comp_many(params, [ct, anchor, ct], anchor) == [BOT] * 3
+
+
+@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monkeypatch):
+    # honest, mutated and spliced ciphertexts under one key; with the memo
+    # bound shrunk to 3 it is cleared every few verifications
+    scheme = StrengthenedOre(OpfOre(ell=8), _CERTIFIERS[certifier]())
+    coins = bytes(rng.bytes(32))
+    key = scheme.gen_from_coins(coins)
+    honest = scheme.enc_many(key.sk, [3, 40, 41, 90, 128, 200, 254, 255])
+    mutated = [
+        mutate_ciphertext(ct, kind, rng)
+        for ct, kind in zip(honest, ("bitflip", "bitflip", "truncate", "random"))
+    ]
+    spliced = [
+        bytes([STRONG_VERSION, 8])
+        + encode_blob(
+            forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of, payload_of),
+            b"\x00" * 64,
+        )
+        for tag_of, payload_of in ((255, 0), (7, 100), (100, 7))
+    ]
+    cts = honest + mutated + spliced
+
+    def answers(key):
+        return (
+            [scheme.dec(key.sk, ct) for ct in cts],
+            [scheme.comp(key.params, c0, c1) for c0 in cts for c1 in cts],
+            [scheme.comp_many(key.params, cts, c1) for c1 in cts],
+        )
+
+    expected = answers(scheme.gen_from_coins(coins))
+    sizes = []
+    verify = scheme._verify
+
+    def tracked(cert_vk, *fields):
+        ok = verify(cert_vk, *fields)
+        sizes.append(len(cert_vk.verdicts))
+        return ok
+
+    monkeypatch.setattr(strengthen, "VERDICT_MEMO_MAX", 3)
+    monkeypatch.setattr(scheme, "_verify", tracked)
+    assert answers(scheme.gen_from_coins(coins)) == expected
+    assert max(sizes) == 4
+    assert sizes.count(1) > 1  # the memo was cleared, and refilled, more than once
 
 
 def test_verdict_memo_dies_with_its_key(rng):

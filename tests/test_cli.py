@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config files, exit codes, report files."""
 
 import json
+import math
 
 import pytest
 
@@ -60,6 +61,10 @@ def test_exit_code_2_on_missing_drop_index():
         (["pac", "--dist", "all", "--ell", "2", "--trials", "2"], "ell"),
         # reduction's degenerate-trial filler (0, ..., n + 1) needs 2**ell >= n + 2
         (["games", "--mode", "reduction", "--n", "15", "--ell", "4", "--trials", "2"], "ell"),
+        # an infinite eps would make dp_bound -inf and write Infinity into the JSON
+        # report; above 709.78, e**eps overflows and dp_bound raises
+        (["trace", "--ell", "32", "--n", "2", "--trials", "1", "--k-cap", "5", "--eps", "inf"], "eps"),
+        (["trace", "--ell", "32", "--n", "2", "--trials", "1", "--k-cap", "5", "--eps", "1000"], "eps"),
     ],
 )
 def test_exit_code_2_on_bad_flag_value(argv, field, capsys):
@@ -74,6 +79,8 @@ def test_exit_code_2_on_bad_flag_value(argv, field, capsys):
         ("pac", {"trials": "3"}, "trials"),
         ("games", {"mode": "synthetic", "trials": 1.5}, "trials"),
         ("hybrid", {"left": [1, "x"], "right": [2, 3], "ell": 4}, "left"),
+        # json writes the infinite eps as the bare token Infinity
+        ("trace", {"eps": math.inf, "ell": 32, "n": 2, "trials": 1, "k_cap": 5}, "eps"),
         ("pac", b"\xff\xfe{}", "<file>"),  # not UTF-8
     ],
 )

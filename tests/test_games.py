@@ -228,12 +228,9 @@ def test_single_challenge_leaked_key_decryptor_wins(rng):
             return SingleChallenge((10, 1000), 200, 300)
 
         def guess(self, params, cts, cstar, rng):
-            from orelearn.core import decode_blob
-            from orelearn.opf import OpfSecretKey
-
             blob = params.cert_vk.serialize()
-            sk = OpfSecretKey(blob[len(b"escrow:") :], base.ell)
-            base_ct, _ = decode_blob(cstar[2:], 2)
+            sk = base.key_from_bytes(blob[len(b"escrow:") :])
+            base_ct, _ = scheme.parse(cstar)
             return 0 if base.dec(sk, base_ct) == 200 else 1
 
     report = run_single_challenge_game(scheme, Decryptor(), 200, rng)

@@ -201,6 +201,23 @@ def test_rerun_reproduces_identical_csv_bodies():
         assert r1.csv_summary() == r2.csv_summary(), raw["experiment"]
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "correctness", "ell": 8, "trials": 40, "seed": 5},
+        {"experiment": "sq", "ell": 8, "trials": 2, "seed": 5},
+    ],
+)
+def test_lam_changes_nothing_but_the_config_hash(raw):
+    # lam is hashed into the first line of every CSV body and read by nothing else
+    r128 = run(ExperimentConfig.from_dict({**raw, "lam": 128}))
+    r256 = run(ExperimentConfig.from_dict({**raw, "lam": 256}))
+    for body in ("csv_trials", "csv_summary"):
+        a, b = getattr(r128, body)(), getattr(r256, body)()
+        assert a.split("\n", 1)[0] != b.split("\n", 1)[0]
+        assert a.split("\n", 1)[1] == b.split("\n", 1)[1]
+
+
 def test_zero_trials_is_an_empty_success():
     # every experiment and mode but hybrid, whose verdict needs no trials
     for experiment, modes in _MODES.items():
