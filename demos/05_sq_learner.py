@@ -12,7 +12,7 @@ space it is a genuine exhaustive search.
 
 import numpy as np
 
-from orelearn.encthresh import PointMassDistribution, random_concept
+from orelearn.encthresh import random_concept, random_point_mass
 from orelearn.opf import OpfOre
 from orelearn.sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
 from orelearn.strengthen import EscrowCertifier, StrengthenedOre
@@ -21,18 +21,12 @@ rng = np.random.default_rng(41)
 alpha = 0.05
 
 
-def support_dist(concept, size):
-    ms = rng.choice(concept.scheme.domain_size, size=size, replace=False)
-    points = [concept.encrypt_example(int(m)) for m in ms]
-    return PointMassDistribution(points, rng.dirichlet(np.ones(size)).tolist())
-
-
 print("=== oracle-backed key recovery, ell=16 ===")
 scheme = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
 budget = 1 + 8 * scheme.params_len() + scheme.ell
 for trial in range(3):
     concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
-    dist = support_dist(concept, 256)
+    dist = random_point_mass(concept, 256, rng)
     oracle = StatOracle(concept, dist, alpha, mode="exact")
     recovery = OracleKeyRecovery()
     recovery.register(concept.key)
@@ -45,7 +39,7 @@ print()
 print("=== genuine exhaustive search over a 16-bit coin space, ell=10 ===")
 tiny = StrengthenedOre(OpfOre(ell=10, coin_len=2), EscrowCertifier())
 concept = random_concept(tiny, rng, t=700)
-dist = support_dist(concept, 128)
+dist = random_point_mass(concept, 128, rng)
 oracle = StatOracle(concept, dist, alpha, mode="exact")
 recovery = TinyKeyspaceRecovery(tiny)
 hypothesis = sq_learn(oracle, alpha, recovery, tiny)
@@ -56,7 +50,7 @@ print(f"recovered t = {hypothesis.t} (true {concept.t}), "
 print()
 print("=== jittered answers still land within tolerance ===")
 concept = random_concept(scheme, rng, t=20_000)
-dist = support_dist(concept, 256)
+dist = random_point_mass(concept, 256, rng)
 oracle = StatOracle(concept, dist, alpha, mode="jitter", rng=rng)
 recovery = OracleKeyRecovery()
 recovery.register(concept.key)

@@ -17,8 +17,7 @@ from .core import (
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
-    comp_plain,
-    Message,
+    compare_ints,
 )
 from .encthresh import (
     AllZeroesHypothesis,

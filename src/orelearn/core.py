@@ -8,12 +8,12 @@ ciphertext fails validation.
 
 Two reference comparators anchor the correctness notions:
 
-* ``comp_plain`` compares plaintext integers directly.
+* ``compare_ints`` compares plaintext integers directly.
 * ``comp_ciph`` decrypts both ciphertexts with the secret key and compares
   the plaintexts, propagating BOT if either decryption fails.
 
 A scheme has *weakly correct comparison* when the public ``comp`` agrees
-with ``comp_plain`` on honestly generated ciphertexts, and *strongly
+with ``compare_ints`` on honestly generated ciphertexts, and *strongly
 correct comparison* when ``comp`` agrees with ``comp_ciph`` on arbitrary
 byte strings, including malformed ones.  The checker functions in this
 module make both notions executable: they sweep message sets or fuzzed
@@ -36,11 +36,9 @@ __all__ = [
     "BOT",
     "Bot",
     "Ordering3",
-    "Message",
     "PublicParams",
     "KeyMaterial",
     "OreScheme",
-    "comp_plain",
     "comp_ciph",
     "compare_ints",
     "CheckReport",
@@ -96,34 +94,12 @@ class Ordering3(enum.Enum):
 
 
 def compare_ints(m0: int, m1: int) -> Ordering3:
+    """Reference plaintext comparison of two integers."""
     if m0 < m1:
         return Ordering3.LT
     if m0 > m1:
         return Ordering3.GT
     return Ordering3.EQ
-
-
-@dataclass(frozen=True)
-class Message:
-    """A plaintext: an integer in {0, ..., 2**ell - 1}."""
-
-    value: int
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"bit length must be >= 1, got {self.ell}")
-        if not (0 <= self.value < (1 << self.ell)):
-            raise ValueError(
-                f"message {self.value} outside domain [0, 2**{self.ell})"
-            )
-
-
-def comp_plain(m0: Message, m1: Message) -> Ordering3:
-    """Reference plaintext comparison; both messages must share a domain."""
-    if m0.ell != m1.ell:
-        raise ValueError(f"mismatched bit lengths: {m0.ell} != {m1.ell}")
-    return compare_ints(m0.value, m1.value)
 
 
 @dataclass(frozen=True)

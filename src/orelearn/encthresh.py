@@ -41,10 +41,12 @@ __all__ = [
     "pac_learn",
     "labeled_sample",
     "empirical_error",
+    "hypothesis_error",
     "UniformValidDistribution",
     "MalformedMixtureDistribution",
     "WrongParamsMixtureDistribution",
     "PointMassDistribution",
+    "random_point_mass",
     "make_distribution",
     "DISTRIBUTION_FAMILIES",
     "POINT_MASS_POINTS",
@@ -228,9 +230,9 @@ def pac_learn(
     return ComparatorHypothesis(scheme, params_star, anchor)
 
 
-def labeled_sample(
-    concept: EncThreshConcept, dist, n: int, rng: np.random.Generator
-) -> list[tuple[Example, int]]:
+def labeled_sample(concept, dist, n: int, rng: np.random.Generator) -> list[tuple]:
+    """n draws of ``dist``, each labeled by ``concept.evaluate``; any concept
+    and distribution with those methods, signature-validity ones included."""
     out = []
     for _ in range(n):
         x = dist.sample(rng)
@@ -255,6 +257,18 @@ def empirical_error(
         if hypothesis.evaluate(x) != concept.evaluate(x):
             bad += 1
     return bad / samples
+
+
+def hypothesis_error(
+    hypothesis, concept: EncThreshConcept, dist, rng: np.random.Generator
+) -> float:
+    """The exact error where ``dist.exact_error`` has a closed form, else the
+    empirical error over 2000 fresh draws (a weak scheme, or a hypothesis
+    with no closed form)."""
+    try:
+        return dist.exact_error(hypothesis, concept)
+    except TypeError:
+        return empirical_error(hypothesis, concept, dist, 2000, rng)
 
 
 class UniformValidDistribution:
@@ -305,7 +319,9 @@ class UniformValidDistribution:
         return self.valid_weight * (wrong / concept.scheme.domain_size)
 
 
-_MALFORMED_KINDS = ("random", "bitflip", "truncate")  # equal weights, in draw order
+# core.MUTATION_CLASSES but "valid", drawn with equal weights in this order,
+# which the pinned pac digests fix
+_MALFORMED_KINDS = ("random", "bitflip", "truncate")
 
 
 class MalformedMixtureDistribution(UniformValidDistribution):
@@ -379,6 +395,15 @@ class PointMassDistribution:
         return list(zip(self.points, self.weights))
 
 
+def random_point_mass(
+    concept: EncThreshConcept, size: int, rng: np.random.Generator
+) -> PointMassDistribution:
+    """Dirichlet weights on the encryptions of ``size`` distinct uniform messages."""
+    ms = rng.choice(concept.scheme.domain_size, size=size, replace=False)
+    points = concept.encrypt_examples(ms.tolist())
+    return PointMassDistribution(points, rng.dirichlet(np.ones(size)).tolist())
+
+
 DISTRIBUTION_FAMILIES = ("uniform", "malformed", "wrongparams", "pointmass")
 POINT_MASS_POINTS = 8  # distinct messages carrying the pointmass family
 
@@ -395,8 +420,5 @@ def make_distribution(
         decoy = concept.scheme.gen(rng)
         return WrongParamsMixtureDistribution(concept, decoy)
     if family == "pointmass":
-        ms = rng.choice(concept.scheme.domain_size, size=POINT_MASS_POINTS, replace=False)
-        points = concept.encrypt_examples(ms.tolist())
-        weights = rng.dirichlet(np.ones(POINT_MASS_POINTS)).tolist()
-        return PointMassDistribution(points, weights)
+        return random_point_mass(concept, POINT_MASS_POINTS, rng)
     raise ValueError(f"unknown distribution family {family!r}")

@@ -119,8 +119,6 @@ class GameTranscript:
 
 @dataclass
 class GameReport:
-    game: str
-    trials: int
     p_guess1_given_b0: float
     p_guess1_given_b1: float
     advantage: float
@@ -137,7 +135,7 @@ class GameReport:
         return self.advantage + self.ci_halfwidth
 
 
-def _play(game, scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameReport:
+def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameReport:
     """The trial loop shared by both games.
 
     Per trial: the adversary picks a challenge, then the bit and the key are
@@ -172,8 +170,6 @@ def _play(game, scheme, adversary, trials, rng, keep_transcripts, encrypt) -> Ga
         var += p1 * (1 - p1) / n1
     half = max(1.96 * var**0.5, 10.0 / max(trials, 1))
     return GameReport(
-        game=game,
-        trials=trials,
         p_guess1_given_b0=p0,
         p_guess1_given_b1=p1,
         advantage=abs(p0 - p1),
@@ -196,7 +192,7 @@ def run_static_game(
         side = challenge.left if bit == 0 else challenge.right
         return (scheme.enc_many(sk, side),)
 
-    return _play("static", scheme, adversary, trials, rng, keep_transcripts, encrypt)
+    return _play(scheme, adversary, trials, rng, keep_transcripts, encrypt)
 
 
 def run_single_challenge_game(
@@ -213,9 +209,7 @@ def run_single_challenge_game(
         *cts, ct = scheme.enc_many(sk, [*challenge.messages, m])
         return cts, ct
 
-    return _play(
-        "single-challenge", scheme, adversary, trials, rng, keep_transcripts, encrypt
-    )
+    return _play(scheme, adversary, trials, rng, keep_transcripts, encrypt)
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +303,23 @@ class ReductionAdversary:
         if degenerate:
             # keep the game well-defined: identical sides, random guess later
             filler = tuple(range(n + 2))
-            self._trial = {"degenerate": True}
+            self._trial = None
             self.transcript_flags = {"degenerate": True, "not_well_spaced": not well_spaced}
             return ChallengePair(left=filler, right=filler)
         prefix = bounds[: idx + 1].tolist()  # 0 and the sorted draws below the target
         suffix = bounds[idx + 2 : -1].tolist()
         left = tuple(prefix + [m_l0, m_l1] + suffix)
         right = tuple(prefix + [m_r0, m_r1] + suffix)
-        self._trial = {
-            "degenerate": False,
-            "raw": raw,
-            "order": order,
-            "idx": idx,
-        }
+        self._trial = (raw, order, idx)
         self.transcript_flags = {"degenerate": False, "not_well_spaced": False}
         return ChallengePair(left=left, right=right)
 
     def guess(self, params: PublicParams, cts: Sequence[bytes], rng) -> int:
         trial = self._trial
         self._trial = None
-        if trial is None or trial["degenerate"]:
+        if trial is None:  # degenerate, or no challenge was chosen
             return int(rng.integers(0, 2))
-        raw, order, idx = trial["raw"], trial["order"], trial["idx"]
+        raw, order, idx = trial
         n, t = self.n, self.scheme.domain_size // 2
         inv = np.empty(n, dtype=np.int64)
         inv[order] = np.arange(n)

@@ -28,11 +28,12 @@ from .core import check_strong_correctness, check_weak_correctness
 from .encthresh import (
     DISTRIBUTION_FAMILIES,
     POINT_MASS_POINTS,
-    PointMassDistribution,
+    hypothesis_error,
     labeled_sample,
     make_distribution,
     pac_learn,
     random_concept,
+    random_point_mass,
     required_sample_size,
 )
 from .games import (
@@ -272,22 +273,22 @@ class ExperimentReport:
     schema = CSV_SCHEMA_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "library_version": __version__,
-                "config": json.loads(self.config.canonical_json()),
-                "config_hash": self.config.config_hash(),
-                "columns": self.columns,
-                "rows": self.rows,
-                "aggregates": self.aggregates,
-                "passed": self.passed,
-                "wall_clock_s": round(self.wall_clock, 3),
-                **self.extra,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        """Strict JSON: a non-finite float (a rate over no trials) is null."""
+        report = {
+            "schema": self.schema,
+            "library_version": __version__,
+            "config": json.loads(self.config.canonical_json()),
+            "config_hash": self.config.config_hash(),
+            "columns": self.columns,
+            "rows": self.rows,
+            "aggregates": self.aggregates,
+            "passed": self.passed,
+            "wall_clock_s": round(self.wall_clock, 3),
+            **self.extra,
+        }
+        # a round trip turns the lenient encoder's NaN/Infinity tokens into None
+        finite = json.loads(json.dumps(report), parse_constant=lambda token: None)
+        return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
     def csv_trials(self) -> str:
         """Per-trial CSV body; excludes wall-clock so re-runs are identical."""
@@ -416,7 +417,7 @@ def _run_pac(config: ExperimentConfig):
             dist = make_distribution(family, concept, rng)
             sample = labeled_sample(concept, dist, n, rng)
             hypothesis = pac_learn(scheme, sample)
-            err = dist.exact_error(hypothesis, concept)
+            err = hypothesis_error(hypothesis, concept, dist, rng)
             probes = [x for x, _ in sample] + [dist.sample(rng) for _ in range(50)]
             one_sided = all(
                 hypothesis.evaluate(x) <= concept.evaluate(x) for x in probes
@@ -437,9 +438,7 @@ def _run_pac(config: ExperimentConfig):
         rates[family] = good / config.trials if config.trials else float("nan")
     aggregates = {f"rate_{f}": r for f, r in rates.items()}
     aggregates["one_sided_all"] = one_sided_all
-    passed = one_sided_all and all(
-        r >= 0.90 for r in rates.values() if not np.isnan(r)
-    )
+    passed = one_sided_all and all(r >= 0.90 for r in rates.values())
     return columns, rows, aggregates, passed
 
 
@@ -477,16 +476,8 @@ def _run_trace(config: ExperimentConfig):
     aggregates["k_conforming"] = report.k_conforming
     aggregates["dp_delta_bound"] = dp_bound(config.beta, config.xi, config.n, config.eps)
     columns = ["trial", "well_spaced", "error", "accused", "good_and_untraced"]
-    rows = [
-        {
-            "trial": t,
-            "well_spaced": r["well_spaced"],
-            "error": r.get("error"),  # soundness rows carry no error
-            "accused": r["accused"],
-            "good_and_untraced": (r["good"] and r["accused"] is None) if "good" in r else None,
-        }
-        for t, r in enumerate(report.rows)
-    ]
+    # soundness rows carry no error and no good_and_untraced: their cells stay empty
+    rows = [{"trial": t, **{c: r.get(c) for c in columns[1:]}} for t, r in enumerate(report.rows)]
     return columns, rows, aggregates, passed
 
 
@@ -519,18 +510,13 @@ def _run_games(config: ExperimentConfig):
     right = tuple(lo + span // (2 * q) + i * span // q for i in range(q))
     if config.mode == "random":
         adversary = RandomGuessAdversary()
-        gate = lambda rep: rep.advantage <= 0.03 + rep.ci_halfwidth
     elif config.mode == "payload":
         adversary = PayloadBitAdversary(ChallengePair(left, right))
-        gate = lambda rep: rep.advantage <= 0.03 + rep.ci_halfwidth
     elif config.mode == "leak":
         adversary = EscrowKeyLeakAdversary(OpfOre(config.ell), ChallengePair(left, right))
-        gate = lambda rep: rep.advantage >= 0.9
     else:  # reduction
         learner = lambda sample: pac_learn(scheme, sample)
         adversary = ReductionAdversary(scheme, learner, config.n, max(1, config.n // 2))
-        bound = config.gamma**2 / (8.0 * config.n**2)
-        gate = lambda rep: rep.advantage >= bound - rep.ci_halfwidth
     report = run_static_game(
         scheme, adversary, config.trials, rng, keep_transcripts=config.transcripts
     )
@@ -556,12 +542,17 @@ def _run_games(config: ExperimentConfig):
             {"trial": t.trial, "bit": t.bit, "guess": t.guess, "win": t.win, **t.flags}
             for t in report.transcripts
         ]
-    return columns, rows, aggregates, gate(report), extra
+    # the leak control must win; the others must show no advantage beyond noise,
+    # the reduction too, since its honest learner breaks no tracing soundness
+    if config.mode == "leak":
+        passed = report.advantage >= 0.9
+    else:
+        passed = report.advantage <= 0.03 + report.ci_halfwidth
+    return columns, rows, aggregates, passed, extra
 
 
 def _run_hybrid(config: ExperimentConfig):
-    pair = ChallengePair(left=config.left, right=config.right)
-    pair.validate(1 << config.ell)
+    pair = ChallengePair(left=config.left, right=config.right)  # validated with the config
     hybrids = hybrid_schedule(pair)
     columns = ["index", "vector"]
     rows = [{"index": i, "vector": " ".join(map(str, h))} for i, h in enumerate(hybrids)]
@@ -592,10 +583,7 @@ def _run_sq(config: ExperimentConfig):
     for trial in range(config.trials):
         rng = derive_trial_rng(config.seed, trial)
         concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
-        support_ms = rng.choice(scheme.domain_size, size=min(256, scheme.domain_size), replace=False)
-        points = concept.encrypt_examples(support_ms.tolist())
-        weights = rng.dirichlet(np.ones(len(points))).tolist()
-        dist = PointMassDistribution(points, weights)
+        dist = random_point_mass(concept, min(256, scheme.domain_size), rng)
         oracle_mode = config.mode or "exact"
         oracle = StatOracle(concept, dist, config.alpha, mode=oracle_mode, rng=rng)
         if config.keyspace == "tiny":
@@ -633,10 +621,7 @@ def _run_validsig(config: ExperimentConfig):
             rng = derive_trial_rng(config.seed, trial)
             state, _ = validsig_gen_ex(sig, 1, config.ell, rng)
             dist = SigExampleDistribution(state, positive_weight=0.5, rng=rng)
-            sample = [
-                (x, state.concept.evaluate(x))
-                for x in (dist.sample(rng) for _ in range(n))
-            ]
+            sample = labeled_sample(state.concept, dist, n, rng)
             rep = validsig_learn(sample)
             err = representation_error(rep, state.concept, dist.positive_mass())
             good += err <= config.alpha

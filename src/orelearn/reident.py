@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encthresh import EncThreshConcept, Example, UniformValidDistribution, empirical_error
+from .encthresh import EncThreshConcept, Example, UniformValidDistribution, hypothesis_error
 from .core import OreScheme
 
 __all__ = [
@@ -82,7 +82,6 @@ class TraceVerdict:
     accused: "int | None"  # raw sample index in [1, n], or None for no accusation
     accused_sorted: "int | None"  # sorted position of the separating message
     estimates: np.ndarray  # p_hat_0 .. p_hat_n
-    k_used: int
     k_conforming: bool  # False when a reduced K was used
     degraded: bool = False  # True when empty buckets inherited estimates
 
@@ -221,7 +220,7 @@ def trace_ex(
     k_cap: "int | None" = None,
 ) -> TraceVerdict:
     """Estimate bucket probabilities and accuse the first separating index."""
-    estimates, k, conforming, degraded = estimate_bucket_probs(
+    estimates, _, conforming, degraded = estimate_bucket_probs(
         state, hypothesis, gamma, xi, rng, k_cap=k_cap
     )
     sorted_i = accuse_from_estimates(estimates, gamma, state.n)
@@ -232,7 +231,6 @@ def trace_ex(
         accused=raw_i,
         accused_sorted=sorted_i,
         estimates=estimates,
-        k_used=k,
         k_conforming=conforming,
         degraded=degraded,
     )
@@ -243,15 +241,6 @@ def trace_ex(
 # ---------------------------------------------------------------------------
 
 
-def _hypothesis_error(state: ReidentState, hypothesis, rng) -> float:
-    """Error under the run's own distribution (uniform valid encryptions)."""
-    dist = UniformValidDistribution(state.concept)
-    try:
-        return dist.exact_error(hypothesis, state.concept)
-    except TypeError:  # a weak scheme, or a hypothesis with no closed form
-        return empirical_error(hypothesis, state.concept, dist, 2000, rng)
-
-
 def _share(rows: list, pred) -> float:
     """Share of rows satisfying pred; nan when there are no rows."""
     return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
@@ -259,8 +248,6 @@ def _share(rows: list, pred) -> float:
 
 @dataclass
 class CompletenessReport:
-    trials: int
-    alpha: float
     rows: list = field(default_factory=list)
     k_conforming: bool = True
 
@@ -270,7 +257,7 @@ class CompletenessReport:
 
     @property
     def p_good_and_untraced(self) -> float:
-        return _share(self.rows, lambda r: r["good"] and r["accused"] is None)
+        return _share(self.rows, lambda r: r["good_and_untraced"])
 
     @property
     def p_accused(self) -> float:
@@ -298,11 +285,14 @@ def completeness_experiment(
     Reports the rates of (error <= alpha), (good and untraced), and
     (accused), both overall and restricted to well-spaced draws.
     """
-    report = CompletenessReport(trials=trials, alpha=alpha)
+    report = CompletenessReport()
     for _ in range(trials):
         state, sample = gen_ex(scheme, n, rng)
         hypothesis = learner(sample)
-        err = _hypothesis_error(state, hypothesis, rng)
+        # error under the run's own distribution, uniform valid encryptions
+        err = hypothesis_error(
+            hypothesis, state.concept, UniformValidDistribution(state.concept), rng
+        )
         verdict = trace_ex(state, hypothesis, gamma, xi, rng, k_cap=k_cap)
         report.k_conforming &= verdict.k_conforming
         report.rows.append(
@@ -311,7 +301,7 @@ def completeness_experiment(
                 "error": err,
                 "good": err <= alpha,
                 "accused": verdict.accused,
-                "degraded": verdict.degraded,
+                "good_and_untraced": err <= alpha and verdict.accused is None,
             }
         )
     return report
@@ -319,7 +309,6 @@ def completeness_experiment(
 
 @dataclass
 class SoundnessReport:
-    trials: int
     drop_index: int
     rows: list = field(default_factory=list)
     k_conforming: bool = True
@@ -345,7 +334,7 @@ def soundness_experiment(
     k_cap: "int | None" = None,
 ) -> SoundnessReport:
     """How often is the dropped example accused when the learner never saw it?"""
-    report = SoundnessReport(trials=trials, drop_index=drop_index)
+    report = SoundnessReport(drop_index=drop_index)
     for _ in range(trials):
         state, sample = gen_ex(scheme, n, rng)
         hypothesis = learner(sample_without(state, sample, drop_index))
@@ -355,7 +344,6 @@ def soundness_experiment(
             {
                 "well_spaced": state.well_spaced,
                 "accused": verdict.accused,
-                "degraded": verdict.degraded,
             }
         )
     return report

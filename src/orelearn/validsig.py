@@ -28,6 +28,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from .core import mutate_ciphertext
+
 __all__ = [
     "Ed25519Scheme",
     "SigTriple",
@@ -117,9 +119,7 @@ def representation_error(
     representation errs exactly on the positive mass.  A wrong-key triple
     misses all positives and accepts nothing from this distribution.
     """
-    if rep is None:
-        return positive_mass
-    if rep.vk == concept.vk and concept.sig_scheme.ver(rep.vk, rep.message, rep.sig):
+    if rep is not None and concept.evaluate(rep):
         return 0.0
     return positive_mass
 
@@ -270,10 +270,8 @@ class SigExampleDistribution:
             return SigTriple(self.state.concept.vk, m, sig.sign(self.state.signing_key, m))
         if rng.random() < 0.5:
             return SigTriple(self._decoy_vk, m, sig.sign(self._decoy_sk, m))
-        good = bytearray(sig.sign(self.state.signing_key, m))
-        pos = int(rng.integers(0, len(good) * 8))
-        good[pos // 8] ^= 1 << (pos % 8)
-        return SigTriple(self.state.concept.vk, m, bytes(good))
+        good = sig.sign(self.state.signing_key, m)
+        return SigTriple(self.state.concept.vk, m, mutate_ciphertext(good, "bitflip", rng))
 
     def positive_mass(self) -> float:
         # corrupted signatures fail verification; decoy keys fail the match

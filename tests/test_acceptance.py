@@ -26,11 +26,11 @@ from orelearn.core import (
 )
 from orelearn.encthresh import (
     DISTRIBUTION_FAMILIES,
-    PointMassDistribution,
     labeled_sample,
     make_distribution,
     pac_learn,
     random_concept,
+    random_point_mass,
     required_sample_size,
 )
 from orelearn.games import (
@@ -465,9 +465,7 @@ def test_c10_sq_learner():
     for trial in range(50):
         rng = derive_trial_rng(SEED, trial, b"c10")
         concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
-        ms = rng.choice(scheme.domain_size, size=256, replace=False)
-        points = [concept.encrypt_example(int(m)) for m in ms]
-        dist = PointMassDistribution(points, rng.dirichlet(np.ones(256)).tolist())
+        dist = random_point_mass(concept, 256, rng)
         oracle = StatOracle(concept, dist, alpha, mode="exact")
         recovery = OracleKeyRecovery()
         recovery.register(concept.key)
@@ -480,9 +478,7 @@ def test_c10_sq_learner():
     tiny_scheme = StrengthenedOre(OpfOre(ell=10, coin_len=2), EscrowCertifier())
     rng = derive_trial_rng(SEED, 999, b"c10")
     concept = random_concept(tiny_scheme, rng, t=700)
-    ms = rng.choice(tiny_scheme.domain_size, size=128, replace=False)
-    points = [concept.encrypt_example(int(m)) for m in ms]
-    dist = PointMassDistribution(points, rng.dirichlet(np.ones(128)).tolist())
+    dist = random_point_mass(concept, 128, rng)
     oracle = StatOracle(concept, dist, alpha, mode="exact")
     recovery = TinyKeyspaceRecovery(tiny_scheme)
     hypothesis = sq_learn(oracle, alpha, recovery, tiny_scheme)

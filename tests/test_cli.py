@@ -163,9 +163,26 @@ _SWEEP_FLAGS = {
     "experiment, mode", [(e, m) for e, modes in _MODES.items() for m in modes]
 )
 def test_exit_code_is_0_2_or_3_at_small_ell(experiment, mode):
-    # every mode at ell 1-4: a run passes, fails its gate, or is a config
-    # error; an exception (exit 1) is never the answer
-    for ell in range(1, 5):
-        argv = [experiment] + (["--mode", mode] if mode else [])
-        argv += ["--ell", str(ell), "--trials", "2"] + _SWEEP_FLAGS.get(experiment, [])
-        assert main(argv) in (0, 2, 3), argv
+    # every mode at ell 1-4, on the strong and on the weak scheme: a run
+    # passes, fails its gate, or is a config error; an exception (exit 1) is
+    # never the answer
+    for scheme in ("strengthened", "opf"):
+        for ell in range(1, 5):
+            argv = [experiment] + (["--mode", mode] if mode else [])
+            argv += ["--ell", str(ell), "--trials", "2", "--scheme", scheme]
+            argv += _SWEEP_FLAGS.get(experiment, [])
+            assert main(argv) in (0, 2, 3), argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "1", "--ell", "16", "--trials", "400", "--seed", "1"],
+        ["--ell", "16", "--n", "10", "--trials", "50", "--seed", "3"],
+    ],
+)
+def test_reduction_gate_passes_the_honest_learner(flags, capsys):
+    # the honest learner breaks no tracing soundness, so the reduction built
+    # on it must show no advantage beyond noise, as random and payload do
+    assert main(["games", "--mode", "reduction"] + flags) == 0
+    assert "advantage = 0.0" in capsys.readouterr().out

@@ -9,40 +9,18 @@ from hypothesis import given, strategies as st
 from orelearn.core import (
     BOT,
     Bot,
-    Message,
     Ordering3,
     PublicParams,
     check_decryption_correctness,
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
-    comp_plain,
     compare_ints,
     decode_blob,
     encode_blob,
     mutate_ciphertext,
 )
 from orelearn.opf import OpfOre
-
-
-def test_comp_plain_basic():
-    assert comp_plain(Message(3, 8), Message(7, 8)) is Ordering3.LT
-    assert comp_plain(Message(5, 8), Message(5, 8)) is Ordering3.EQ
-    assert comp_plain(Message(255, 8), Message(0, 8)) is Ordering3.GT
-
-
-def test_comp_plain_rejects_mismatched_bit_lengths():
-    with pytest.raises(ValueError):
-        comp_plain(Message(1, 8), Message(1, 9))
-
-
-def test_message_domain_validation():
-    with pytest.raises(ValueError):
-        Message(256, 8)
-    with pytest.raises(ValueError):
-        Message(-1, 8)
-    with pytest.raises(ValueError):
-        Message(0, 0)
 
 
 def test_comp_plain_total_order_exhaustive_ell6():

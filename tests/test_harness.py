@@ -218,6 +218,10 @@ def test_lam_changes_nothing_but_the_config_hash(raw):
         assert a.split("\n", 1)[1] == b.split("\n", 1)[1]
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_zero_trials_is_an_empty_success():
     # every experiment and mode but hybrid, whose verdict needs no trials
     for experiment, modes in _MODES.items():
@@ -229,6 +233,9 @@ def test_zero_trials_is_an_empty_success():
                 raw["drop_index"] = 1
             report = run(ExperimentConfig.from_dict(raw))
             assert report.passed is None, (experiment, mode)
+            # strict JSON: a rate over no trials is null, never a NaN token
+            blob = json.loads(report.to_json(), parse_constant=_reject_constant)
+            assert blob["passed"] is None, (experiment, mode)
             if experiment in ("pac", "trace", "sq", "validsig"):  # one row per trial
                 assert report.rows == [], (experiment, mode)
 

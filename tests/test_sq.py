@@ -16,9 +16,10 @@ from orelearn.encthresh import (
     Example,
     PointMassDistribution,
     random_concept,
+    random_point_mass,
 )
 from orelearn import sq
-from orelearn.core import BOT, mutate_ciphertext
+from orelearn.core import BOT, MUTATION_CLASSES, mutate_ciphertext
 from orelearn.harness import ExperimentConfig, run
 from orelearn.opf import OpfOre
 from orelearn.sq import (
@@ -39,13 +40,6 @@ def _scheme(ell=10, coin_len=32):
     return StrengthenedOre(OpfOre(ell=ell, coin_len=coin_len), EscrowCertifier())
 
 
-def _uniform_support_dist(concept, size, rng):
-    ms = rng.choice(concept.scheme.domain_size, size=size, replace=False)
-    points = [concept.encrypt_example(int(m)) for m in ms]
-    weights = rng.dirichlet(np.ones(size)).tolist()
-    return PointMassDistribution(points, weights)
-
-
 # -- oracle ---------------------------------------------------------------------
 
 
@@ -60,7 +54,7 @@ def test_oracle_exact_label_query_on_all_positive_mass(rng):
 def test_oracle_constant_zero_query(rng):
     scheme = _scheme()
     concept = random_concept(scheme, rng, t=64)
-    dist = _uniform_support_dist(concept, 32, rng)
+    dist = random_point_mass(concept, 32, rng)
     for mode in ("exact", "jitter"):
         oracle = StatOracle(concept, dist, alpha=0.05, mode=mode, rng=rng)
         assert oracle.query(lambda x, b: False, 0.05) <= 0.05
@@ -69,7 +63,7 @@ def test_oracle_constant_zero_query(rng):
 def test_oracle_jitter_within_tolerance(rng):
     scheme = _scheme()
     concept = random_concept(scheme, rng, t=512)
-    dist = _uniform_support_dist(concept, 64, rng)
+    dist = random_point_mass(concept, 64, rng)
     exact = StatOracle(concept, dist, alpha=0.05, mode="exact")
     jitter = StatOracle(concept, dist, alpha=0.05, mode="jitter", rng=rng)
     psi = lambda x, b: b == 1
@@ -81,7 +75,7 @@ def test_oracle_jitter_within_tolerance(rng):
 def test_oracle_rejects_tolerance_below_floor(rng):
     scheme = _scheme()
     concept = random_concept(scheme, rng, t=64)
-    dist = _uniform_support_dist(concept, 8, rng)
+    dist = random_point_mass(concept, 8, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
     with pytest.raises(ValueError):
         oracle.query(lambda x, b: b == 1, oracle.tau_floor / 2)
@@ -90,7 +84,7 @@ def test_oracle_rejects_tolerance_below_floor(rng):
 def test_oracle_counts_queries(rng):
     scheme = _scheme()
     concept = random_concept(scheme, rng, t=64)
-    dist = _uniform_support_dist(concept, 8, rng)
+    dist = random_point_mass(concept, 8, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
     for k in range(1, 6):
         oracle.query(lambda x, b: b == 1, 0.05)
@@ -128,7 +122,7 @@ def _mixed_support(scheme, seed, weights):
         else:
             x = concept.encrypt_example(m)
             if kind == 1:
-                mutation = ("bitflip", "truncate", "random")[int(rng.integers(0, 3))]
+                mutation = MUTATION_CLASSES[1 + int(rng.integers(0, 3))]
                 x = Example(x.params, mutate_ciphertext(x.ct, mutation, rng))
             points.append(x)
     return concept, PointMassDistribution(points, weights)
@@ -183,7 +177,7 @@ def test_view_answers_are_memoized_per_view(rng):
     # two views with the same values and the same passing set have their own answers
     scheme = _scheme()
     concept = random_concept(scheme, rng, t=512)
-    oracle = StatOracle(concept, _uniform_support_dist(concept, 64, rng), 0.05)
+    oracle = StatOracle(concept, random_point_mass(concept, 64, rng), 0.05)
     label = oracle.query(ViewQuery(lambda x, b: b, lambda v: v == 1), 0.05)
     flipped = oracle.query(ViewQuery(lambda x, b: 1 - b, lambda v: v == 1), 0.05)
     assert label == oracle.query(lambda x, b: b == 1, 0.05)
@@ -199,7 +193,7 @@ def test_view_query_is_its_per_point_predicate():
 def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
     scheme = _scheme(ell=10)
     concept = random_concept(scheme, rng, t=37)  # far from the first midpoint
-    dist = _uniform_support_dist(concept, 256, rng)
+    dist = random_point_mass(concept, 256, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
     recovery = OracleKeyRecovery()
     recovery.register(concept.key)
@@ -307,7 +301,7 @@ def test_learner_recovers_good_threshold(mode, rng):
         concept = random_concept(
             scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1))
         )
-        dist = _uniform_support_dist(concept, 128, rng)
+        dist = random_point_mass(concept, 128, rng)
         oracle = StatOracle(concept, dist, alpha=alpha, mode=mode, rng=rng)
         recovery = OracleKeyRecovery()
         recovery.register(concept.key)
@@ -321,7 +315,7 @@ def test_learner_recovers_good_threshold(mode, rng):
 def test_learner_recovers_params_bits_exactly(rng):
     scheme = _scheme(ell=10)
     concept = random_concept(scheme, rng, t=700)
-    dist = _uniform_support_dist(concept, 128, rng)
+    dist = random_point_mass(concept, 128, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
     recovery = OracleKeyRecovery()
     recovery.register(concept.key)
@@ -333,7 +327,7 @@ def test_learner_recovers_params_bits_exactly(rng):
 def test_learner_errors_without_matching_key(rng):
     scheme = _scheme(ell=10)
     concept = random_concept(scheme, rng, t=700)
-    dist = _uniform_support_dist(concept, 64, rng)
+    dist = random_point_mass(concept, 64, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
     with pytest.raises(KeyRecoveryError):
         sq_learn(oracle, 0.05, OracleKeyRecovery(), scheme)
@@ -345,7 +339,7 @@ def test_learner_threshold_interval_always_contains_target(rng):
     scheme = _scheme(ell=8)
     alpha = 0.05
     concept = random_concept(scheme, rng, t=97)
-    dist = _uniform_support_dist(concept, 100, rng)
+    dist = random_point_mass(concept, 100, rng)
     oracle = StatOracle(concept, dist, alpha=alpha, mode="exact")
     recovery = OracleKeyRecovery()
     recovery.register(concept.key)
