@@ -164,7 +164,10 @@ class DecryptThresholdHypothesis:
 
     This is the representation produced by the statistical-query learner,
     which recovers a functionally equivalent secret key rather than a
-    sample anchor.
+    sample anchor.  ``evaluate`` is ``accepts(decrypt(example))``; the
+    learner asks its threshold queries through ``decrypt`` as their view,
+    so an oracle that kept those view values can score the hypothesis
+    without decrypting again.
     """
 
     kind = "threshold"
@@ -177,13 +180,18 @@ class DecryptThresholdHypothesis:
         self.sk = sk
         self.t = t
 
-    def evaluate(self, example: Example) -> int:
+    def decrypt(self, example: Example, label=None):
+        """The plaintext under the held key; BOT under foreign params.  The
+        unused label makes this a statistical-query view."""
         if example.params != self.params:
-            return 0
-        m = self.scheme.dec(self.sk, example.ct)
-        if m is BOT:
-            return 0
-        return 1 if m < self.t else 0
+            return BOT
+        return self.scheme.dec(self.sk, example.ct)
+
+    def accepts(self, m) -> int:
+        return 1 if m is not BOT and m < self.t else 0
+
+    def evaluate(self, example: Example) -> int:
+        return self.accepts(self.decrypt(example))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": self.params.data.hex(), "t": self.t}

@@ -28,6 +28,7 @@ acceptance rates (p, q) is 1/2 + (p-q)^2/2, computed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -161,8 +162,9 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
                 GameTranscript(trial, bit, guess, guess == bit, flags)
             )
     n0, n1 = len(guesses[0]), len(guesses[1])
-    p0 = sum(guesses[0]) / n0 if n0 else 0.0
-    p1 = sum(guesses[1]) / n1 if n1 else 0.0
+    # a bit that was never drawn has no rate, so neither has the advantage
+    p0 = sum(guesses[0]) / n0 if n0 else math.nan
+    p1 = sum(guesses[1]) / n1 if n1 else math.nan
     var = 0.0
     if n0:
         var += p0 * (1 - p0) / n0

@@ -29,8 +29,9 @@ point's view once, calls ``test`` once per distinct view value and adds
 the weights of the passing points in support order, so the answer equals
 the per-point sum bit for bit.  The learner's label and parameter-bit
 queries share one view, (params bytes, label), with two distinct values;
-its threshold queries share the decryption under the recovered key, so
-each support point is decrypted once per learner run.
+its threshold queries share one view, the ``decrypt`` of the hypothesis
+it returns, so each support point is decrypted once per learner run, and
+the oracle scores that hypothesis from the same values.
 
 The functional-equivalence claim of step 3 is executable via
 ``check_key_equivalence``, which sweeps all encryptions of the full
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from .core import BOT, MUTATION_CLASSES, CheckReport, KeyMaterial, OreScheme, PublicParams
+from .core import MUTATION_CLASSES, CheckReport, KeyMaterial, OreScheme, PublicParams
 from .core import mutate_ciphertext
 from .encthresh import (
     AllZeroesHypothesis,
@@ -97,7 +98,9 @@ class StatOracle:
     in [-tau, tau] (clipped to [0, 1], which preserves the tau bound).
     The query counter increments once per query, and jitter mode draws
     once per query.  Each support point is labelled once, when the oracle
-    is built, and ``error`` scores a hypothesis against those labels.
+    is built, and ``error`` scores a hypothesis against those labels:
+    from a kept view's values when the hypothesis is a threshold
+    hypothesis whose ``decrypt`` was a query's view, else per point.
     The tolerance floor is ``tolerance_floor(k, alpha)`` with k the bit
     length of an instance: the params bytes plus the longest ciphertext in
     the support.
@@ -107,8 +110,8 @@ class StatOracle:
     once per view function and kept on the oracle, ``test`` is called
     once per distinct view value, and the weights of the passing points
     are added in support order, the same additions as the per-point sum.
-    That sum is memoized by (view, set of passing values) for the
-    oracle's lifetime.
+    That sum is memoized by (view, verdicts on the distinct values in
+    first-seen order) for the oracle's lifetime.
     """
 
     def __init__(
@@ -133,7 +136,7 @@ class StatOracle:
         self.tau_floor = tolerance_floor(k_bits, alpha)
         self.query_count = 0
         self._views: dict = {}  # view function -> (value per support point, distinct values)
-        self._answers: dict = {}  # (view function, passing values) -> weight sum
+        self._answers: dict = {}  # (view function, verdict per distinct value) -> weight sum
 
     def true_expectation(self, psi) -> float:
         if not isinstance(psi, ViewQuery):
@@ -143,10 +146,10 @@ class StatOracle:
             values = [psi.view(x, label) for x, _, label in self._support]
             views = self._views[psi.view] = (values, tuple(dict.fromkeys(values)))
         values, distinct = views
-        passing = frozenset(v for v in distinct if psi.test(v))
-        key = (psi.view, passing)
+        key = (psi.view, tuple(map(psi.test, distinct)))
         value = self._answers.get(key)
         if value is None:
+            passing = {v for v, verdict in zip(distinct, key[1]) if verdict}
             value = sum(w for (_, w, _), v in zip(self._support, values) if v in passing)
             self._answers[key] = value
         return value
@@ -154,8 +157,17 @@ class StatOracle:
     def error(self, hypothesis) -> float:
         """``distribution.exact_error(hypothesis, concept)`` bit for bit, scored
         in support order against the stored labels; not a query, so it
-        neither counts nor draws."""
-        return sum(w for x, w, label in self._support if hypothesis.evaluate(x) != label)
+        neither counts nor draws.  A threshold hypothesis whose ``decrypt``
+        is a view this oracle has answered is scored from that view's
+        values, so its points are not decrypted again."""
+        views = None
+        if isinstance(hypothesis, DecryptThresholdHypothesis):
+            views = self._views.get(hypothesis.decrypt)
+        if views is None:
+            return sum(w for x, w, label in self._support if hypothesis.evaluate(x) != label)
+        values, distinct = views
+        verdicts = {v: hypothesis.accepts(v) for v in distinct}
+        return sum(w for (_, w, label), v in zip(self._support, values) if verdicts[v] != label)
 
     def query(self, psi, tau: float) -> float:
         if tau < self.tau_floor:
@@ -268,26 +280,23 @@ def sq_learn(
             data[i >> 3] |= 1 << (7 - (i & 7))
     params = PublicParams(data=bytes(data), ell=scheme.ell)
 
-    sk = key_recovery.recover(params)
-    params_data = params.data
-
-    def decrypted(x, b):
-        """The plaintext under the recovered key; BOT under foreign params."""
-        return scheme.dec(sk, x.ct) if x.params.data == params_data else BOT
-
+    # one hypothesis, its threshold moved by the search: its ``decrypt`` is
+    # the view of every threshold query and ``accepts`` their test, so the
+    # oracle can score the returned hypothesis from the kept view values
+    h = DecryptThresholdHypothesis(scheme, params, key_recovery.recover(params), 0)
     # positive weight is at least alpha/4 > 0, so the threshold is at least 1
     lo, hi = 1, scheme.domain_size
     while lo < hi:
-        t_mid = (lo + hi) // 2
-        phi = ViewQuery(decrypted, lambda m, t=t_mid: m is not BOT and m < t)
-        v1 = oracle.query(phi, alpha / 4.0)
+        h.t = (lo + hi) // 2
+        v1 = oracle.query(ViewQuery(h.decrypt, h.accepts), alpha / 4.0)
         if abs(v1 - v) <= alpha / 2.0:
-            return DecryptThresholdHypothesis(scheme, params, sk, t_mid)
+            return h
         if v1 < v - alpha / 2.0:
-            lo = t_mid + 1  # hypothesis too light: true threshold is higher
+            lo = h.t + 1  # hypothesis too light: true threshold is higher
         else:
-            hi = t_mid - 1
-    return DecryptThresholdHypothesis(scheme, params, sk, lo)
+            hi = h.t - 1
+    h.t = lo
+    return h
 
 
 # ---------------------------------------------------------------------------

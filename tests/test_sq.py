@@ -2,11 +2,14 @@
 
 import collections
 import functools
+import hashlib
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from orelearn.encthresh import (
     AllZeroesHypothesis,
@@ -104,14 +107,20 @@ def test_bit_of_msb_first():
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_scheme(ell):
-    return _scheme(ell=ell)
+def _cached_scheme(ell, coin_len=32):
+    return _scheme(ell=ell, coin_len=coin_len)
 
 
-def _mixed_support(scheme, seed, weights):
-    """Honest, mutated and foreign-params examples, one per weight."""
+def _mixed_support(scheme, seed, weights, coin=None):
+    """Honest, mutated and foreign-params examples, one per weight; with a
+    ``coin``, the concept's key comes from that coin string instead of the rng."""
     rng = np.random.default_rng(seed)
-    concept = random_concept(scheme, rng, t=int(rng.integers(0, scheme.domain_size + 1)))
+    t = int(rng.integers(0, scheme.domain_size + 1))
+    if coin is None:
+        concept = random_concept(scheme, rng, t=t)
+    else:
+        key = scheme.gen_from_coins(coin.to_bytes(scheme.coin_len, "big"))
+        concept = EncThreshConcept(scheme=scheme, t=t, key=key)
     foreign = scheme.gen(rng)
     points = []
     for _ in weights:
@@ -145,8 +154,14 @@ def _views(concept):
 
 
 def _salted_test(salt, cut):
-    """A pure verdict per view value: a salted checksum of its repr below a cut."""
-    return lambda v: zlib.crc32(repr(v).encode() + salt) % 16 < cut
+    """A pure verdict per view value: a hash of its repr, salted and keyed
+    by the cut, below that cut; each value passes with odds cut/16."""
+
+    def test(v):
+        digest = hashlib.blake2b(repr(v).encode() + bytes([cut]), key=salt).digest()
+        return digest[0] % 16 < cut
+
+    return test
 
 
 @settings(max_examples=25, deadline=None)
@@ -231,9 +246,9 @@ def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
 
 
 def test_sq_trial_decrypts_each_point_once_per_role(monkeypatch):
-    # on a 256-point support: the oracle's labels, the learner's decryption
-    # view and the hypothesis's error each decrypt every point once, and
-    # the error reuses the labels instead of evaluating the concept again
+    # on a 256-point support: the oracle's labels and the learner's
+    # decryption view each decrypt every point once; the error reuses the
+    # labels and the view's values instead of decrypting again
     dec_calls, label_calls = [], []
     dec, evaluate = StrengthenedOre.dec, EncThreshConcept.evaluate
     monkeypatch.setattr(StrengthenedOre, "dec", lambda *a: dec_calls.append(a) or dec(*a))
@@ -243,7 +258,7 @@ def test_sq_trial_decrypts_each_point_once_per_role(monkeypatch):
     report = run(ExperimentConfig.from_dict({"experiment": "sq", "ell": 10, "trials": 1}))
 
     assert report.passed and report.rows[0]["hypothesis"] == "threshold"
-    assert len(dec_calls) <= 768
+    assert len(dec_calls) <= 512
     assert len(label_calls) <= 256
 
 
@@ -268,6 +283,133 @@ def test_oracle_error_is_the_exact_error(seed, weights, t, anchor):
     # scoring is not a query: no count and no jitter draw
     assert oracle.query_count == 0
     assert oracle.rng.random() == np.random.default_rng(seed).random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=32),
+    mode=st.sampled_from(["exact", "jitter"]),
+    tiny=st.booleans(),
+    coin=st.integers(0, 63),
+)
+def test_learned_hypothesis_is_scored_from_the_learners_view(seed, weights, mode, tiny, coin):
+    if tiny:  # a key from a low coin string, so exhaustive search stays short
+        scheme = _cached_scheme(8, coin_len=2)
+        concept, dist = _mixed_support(scheme, seed, weights, coin=coin)
+        recovery = TinyKeyspaceRecovery(scheme)
+    else:
+        scheme = _cached_scheme(8)
+        concept, dist = _mixed_support(scheme, seed, weights)
+        recovery = OracleKeyRecovery()
+        recovery.register(concept.key)
+    oracle = StatOracle(concept, dist, 0.05, mode=mode, rng=np.random.default_rng(seed))
+    h = sq_learn(oracle, 0.05, recovery, scheme)
+    count, state = oracle.query_count, oracle.rng.bit_generator.state
+    with mock.patch.object(
+        StrengthenedOre, "dec", autospec=True, side_effect=StrengthenedOre.dec
+    ) as dec:
+        error = oracle.error(h)
+    assert dec.call_count == 0  # scored from the threshold queries' decryptions
+    assert error == dist.exact_error(h, concept)
+    assert error == sum(w for x, w in dist.support() if h.evaluate(x) != concept.evaluate(x))
+    # scoring is not a query: no count and no jitter draw
+    assert oracle.query_count == count and oracle.rng.bit_generator.state == state
+
+
+# few salts and cuts, so equal tests recur
+_SALTS, _CUTS = st.sampled_from([b"", b"1", b"2"]), st.sampled_from([0, 4, 8, 12, 16])
+
+
+class OracleAgainstMemoFreeTwin(RuleBasedStateMachine):
+    """A grouped, memoizing oracle and a twin on the same support and seed.
+
+    The twin gets every query as a plain per-point callable, so it keeps no
+    view and no answer; every answer, score, query count and jitter draw of
+    the two must agree.  Views are shared or fresh function objects, tests
+    are fresh closures (equal salts and cuts give equal verdicts), and the
+    threshold hypotheses' ``decrypt`` views are asked, moved and scored as
+    the learner does.
+    """
+
+    @initialize(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(4, 16),
+        mode=st.sampled_from(["exact", "jitter"]),
+    )
+    def build(self, seed, size, mode):
+        # distinct generic weights, so different passing sets have different sums
+        weights = np.random.default_rng(seed).uniform(1e-3, 1.0, size).tolist()
+        scheme = _cached_scheme(8)
+        concept, dist = _mixed_support(scheme, seed, weights)
+        self.oracle, self.twin = (
+            StatOracle(concept, dist, 0.05, mode=mode, rng=np.random.default_rng(seed))
+            for _ in range(2)
+        )
+        key, foreign = concept.key, scheme.gen(np.random.default_rng(seed ^ 1))
+        self.thresholds = [
+            DecryptThresholdHypothesis(scheme, key.params, key.sk, 64),
+            DecryptThresholdHypothesis(scheme, key.params, key.sk, 192),
+            DecryptThresholdHypothesis(scheme, foreign.params, foreign.sk, 128),
+        ]
+        self.hypotheses = self.thresholds + [
+            AllZeroesHypothesis(),
+            ComparatorHypothesis(scheme, key.params, scheme.enc(key.sk, 100)),
+        ]
+        # two bit views that read 0 on the first point, so their distinct
+        # values come in the same order while their partitions differ
+        c0, c1 = zlib.crc32(dist.points[0].ct), zlib.crc32(dist.points[0].ct[1:])
+        self.views = [
+            sq._params_and_label,
+            lambda x, b: b,
+            lambda x, b: (zlib.crc32(x.ct) ^ c0) & 1,
+            lambda x, b: (zlib.crc32(x.ct[1:]) ^ c1) & 1,
+        ] + [h.decrypt for h in self.thresholds]
+
+    @rule(
+        queries=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from(["shared", "fresh", "plain"])),
+            min_size=1,
+            max_size=4,
+        ),
+        salt=_SALTS,
+        cut=_CUTS,
+    )
+    def query(self, queries, salt, cut):
+        # one verdict rule asked through several views, a fresh test each time
+        for index, kind in queries:
+            view, test = self.views[index], _salted_test(salt, cut)
+            if kind == "fresh":  # a new function object with the same values
+                view = lambda x, b, f=view: f(x, b)
+            psi = lambda x, b: test(view(x, b))
+            answer = self.oracle.query(psi if kind == "plain" else ViewQuery(view, test), 0.02)
+            assert answer == self.twin.query(psi, 0.02)
+
+    @rule(index=st.integers(0, 2), t=st.integers(0, 256))
+    def threshold_query(self, index, t):
+        # the learner's pattern: move the threshold, ask through decrypt
+        h = self.thresholds[index]
+        h.t = t
+        answer = self.oracle.query(ViewQuery(h.decrypt, h.accepts), 0.02)
+        assert answer == self.twin.query(lambda x, b: h.evaluate(x), 0.02)
+
+    @rule(index=st.integers(0, 4), t=st.none() | st.integers(0, 256))
+    def score(self, index, t):
+        h = self.hypotheses[index]
+        if t is not None and index < len(self.thresholds):
+            h.t = t
+        assert self.oracle.error(h) == self.twin.error(h)
+
+    @invariant()
+    def same_counts_and_draws(self):
+        assert self.oracle.query_count == self.twin.query_count
+        assert self.oracle.rng.bit_generator.state == self.twin.rng.bit_generator.state
+
+
+OracleAgainstMemoFreeTwin.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None
+)
+test_oracle_against_memo_free_twin = OracleAgainstMemoFreeTwin.TestCase
 
 
 # -- learner ---------------------------------------------------------------------
