@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from .harness import (
@@ -113,6 +114,12 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: <file>: {exc}", file=sys.stderr)
         return 2
+    if args.out:  # before the run, so a bad directory costs no trials
+        try:
+            pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"config error: --out: {exc}", file=sys.stderr)
+            return 2
     report = run(config)
     for key in sorted(report.aggregates):
         print(f"{key} = {report.aggregates[key]}")

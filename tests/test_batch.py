@@ -1,13 +1,17 @@
 """Batched paths return exactly what the per-item calls return.
 
 ``tag_many``/``enc_many``, ``comp_many``/``evaluate_many`` and the per-bucket
-batches of ``estimate_bucket_probs`` are optimisations only: every
-property here compares a batch with the per-item loop it replaces.
+batches of ``estimate_bucket_probs``, and the forked children it shares its
+buckets with, are optimisations only: every property here compares a batch
+with the per-item loop it replaces.
 """
 
+import contextlib
 import dataclasses
 import functools
 import gc
+import os
+import threading
 import weakref
 from unittest import mock
 
@@ -287,8 +291,28 @@ def _per_draw_estimate(state, hypothesis, k, rng):
     return est
 
 
+def _live_buckets(state) -> int:
+    return int(np.count_nonzero(np.diff(state.bucket_bounds) > 0))
+
+
+@contextlib.contextmanager
+def _estimator_processes(workers: int, fork_min_draws: int = 0):
+    """Let the estimator share its buckets among ``workers`` processes; yields
+    the list that records each fork it makes."""
+    forks, fork = [], os.fork
+    with mock.patch.object(reident, "_cpus", lambda: workers), mock.patch.object(
+        reident, "FORK_MIN_DRAWS", fork_min_draws
+    ), mock.patch.object(os, "fork", lambda: forks.append(1) or fork()):
+        yield forks
+
+
 @pytest.mark.filterwarnings("ignore:n.2")
-@pytest.mark.parametrize("kind", ["opf", "escrow"])
+@pytest.mark.parametrize(
+    "kind, ell",
+    # ell 3 leaves empty buckets in most draws: they take no share and no draws
+    [("opf", 16), ("escrow", 16), ("escrow", 3)],
+    ids=["opf", "escrow", "escrow-ell3"],
+)
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -296,24 +320,112 @@ def _per_draw_estimate(state, hypothesis, k, rng):
     k_cap=st.integers(1, 40),
     batch=st.sampled_from([1, 3, 7, reident.ESTIMATE_BATCH]),
 )
-def test_estimator_batches_match_the_per_item_fallback(kind, seed, n, k_cap, batch):
-    scheme = _scheme(kind, 16)
+def test_estimator_batches_match_the_per_item_fallback(kind, ell, seed, n, k_cap, batch):
+    scheme = _scheme(kind, ell)
 
-    def run(estimator):
+    def run(estimator, workers=1):
         with mock.patch.object(reident, "ESTIMATE_BATCH", batch):
-            return run_with(estimator)
-
-    def run_with(estimator):
-        rng = np.random.default_rng(seed)
-        state, sample = gen_ex(scheme, n, rng)
-        est = estimator(state, pac_learn(scheme, sample), rng)
+            with _estimator_processes(workers) as forks:
+                rng = np.random.default_rng(seed)
+                state, sample = gen_ex(scheme, n, rng)
+                est = estimator(state, pac_learn(scheme, sample), rng)
+        assert len(forks) == min(workers, _live_buckets(state)) - 1
         return est, rng.integers(0, 2**63)  # and where the stream was left
 
     def batched(state, hypothesis, rng):
         return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=k_cap)[0].tolist()
 
-    assert (
-        run(batched)
-        == run(lambda state, h, rng: batched(state, _EvaluateOnly(h), rng))
-        == run(lambda state, h, rng: _per_draw_estimate(state, h, k_cap, rng))
-    )
+    expected = run(lambda state, h, rng: _per_draw_estimate(state, h, k_cap, rng))
+    for workers in range(1, min(3, os.cpu_count() + 1) + 1):  # never more children than CPUs
+        assert run(batched, workers) == expected
+        assert run(lambda state, h, rng: batched(state, _EvaluateOnly(h), rng), workers) == expected
+
+
+class _BucketError(Exception):
+    pass
+
+
+class _FailsInBucket:
+    """A hypothesis that calls ``failure`` on every example drawn from one
+    bucket and rejects every other example."""
+
+    def __init__(self, state, bucket: int, failure):
+        concept = state.concept
+        self.dec = functools.partial(concept.scheme.dec, concept.key.sk)
+        self.inner = state.bucket_bounds[1:-1]
+        self.bucket, self.failure = bucket, failure
+
+    def evaluate(self, x):
+        if int(np.searchsorted(self.inner, self.dec(x.ct), side="right")) == self.bucket:
+            self.failure()
+        return 0
+
+
+def _unpicklable():
+    class Local(Exception):  # pickled by reference, so it cannot be rebuilt
+        pass
+
+    raise Local("in a child")
+
+
+def _exit_in_child(caller=os.getpid()):
+    if os.getpid() != caller:
+        os._exit(7)
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize(
+    "bucket, failure, raised, match",
+    [
+        (0, lambda: _raise(_BucketError("caller")), _BucketError, "caller"),
+        (1, lambda: _raise(_BucketError("child")), _BucketError, "child"),
+        (1, _unpicklable, RuntimeError, "Local"),
+        (1, _exit_in_child, RuntimeError, "without a report.*exit code 7"),
+    ],
+    ids=["caller", "child", "child-unpicklable", "child-dies"],
+)
+def test_a_failing_bucket_raises_in_the_caller_and_leaves_no_child(bucket, failure, raised, match, rng):
+    scheme = _scheme("escrow", 16)
+    state, _ = gen_ex(scheme, 6, rng)
+    hypothesis = _FailsInBucket(state, bucket, failure)
+    with _estimator_processes(2) as forks, pytest.raises(raised, match=match):
+        estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=40)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forbidden_fork():
+    raise AssertionError("the estimator forked")
+
+
+@pytest.mark.parametrize("reason", ["thread", "floor", "one cpu"])
+def test_estimator_stays_serial(reason, rng):
+    scheme = _scheme("escrow", 16)
+    state, sample = gen_ex(scheme, 6, rng)
+    hypothesis = pac_learn(scheme, sample)
+    seed = int(rng.integers(0, 2**63))
+
+    def estimate():
+        stream = np.random.default_rng(seed)
+        est = estimate_bucket_probs(state, hypothesis, 0.45, 0.01, stream, k_cap=40)[0]
+        return est.tolist(), stream.integers(0, 2**63)
+
+    expected = estimate()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "thread":
+        thread.start()
+    try:
+        floor = 7 * 40 + 1 if reason == "floor" else 0  # one more than the 7 buckets' draws
+        with _estimator_processes(1 if reason == "one cpu" else 2, floor):
+            with mock.patch.object(os, "fork", _forbidden_fork):
+                assert estimate() == expected
+    finally:
+        stop.set()
+        if reason == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from orelearn import cli
 from orelearn.cli import main
 from orelearn.harness import _MODES
 
@@ -138,6 +139,19 @@ def test_out_dir_and_formats(tmp_path):
     assert len(files) == 1 and files[0].suffix == ".json"
     blob = json.loads(files[0].read_text())
     assert blob["passed"] is True
+
+
+@pytest.mark.parametrize("target", ["file", "under a file"])
+def test_exit_code_2_on_an_out_that_is_not_a_directory(target, tmp_path, capsys, monkeypatch):
+    existing = tmp_path / "notes.md"
+    existing.write_text("kept\n")
+    out = existing if target == "file" else existing / "reports"
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("ran the experiment"))
+    argv = ["trace", "--mode", "soundness", "--ell", "8", "--n", "3", "--drop-index", "1"]
+    assert main(argv + ["--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and "Traceback" not in err
+    assert existing.read_text() == "kept\n"
 
 
 def test_csv_format_writes_trials_and_summary(tmp_path):
