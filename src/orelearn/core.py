@@ -22,11 +22,20 @@ ciphertext pairs and report every disagreement.
 Ciphertext wire format: every ciphertext starts with a one-byte scheme
 version tag followed by a one-byte plaintext bit length; the body is
 scheme specific and parsers must tolerate arbitrary body bytes.
+
+``_tally_shared`` is the one place that shares independent work across
+CPUs with ``os.fork``: the bucket estimator's buckets and the harness
+runners' trials.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -392,3 +401,96 @@ def decode_blob(data: bytes, count: int) -> "list[bytes] | None":
     if pos != len(data):
         return None
     return fields
+
+
+# ---------------------------------------------------------------------------
+# Independent work shared across CPUs
+# ---------------------------------------------------------------------------
+
+
+def _cpus() -> int:
+    """How many processes may share the work: the CPUs this process may run
+    on, or 1 where the platform has no ``fork`` or affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _tally_shared(tally, items: list, serial: bool = False) -> dict:
+    """``tally(share)`` for P round-robin shares of ``items``, merged.
+
+    P is the smaller of ``_cpus()`` and ``len(items)``, and 1 when
+    ``serial`` is set or another Python thread is alive (it could hold a
+    lock a child needs; native threads such as numpy's BLAS pool do not
+    count).  The first share, ``items[0::P]``, runs here and each later one
+    in a child made with ``os.fork``, which pickles its dict down a pipe.
+    No items means one empty share here.  A child that raised has its
+    exception re-raised here; if anything here raises first, the children
+    still running are killed.  Either way every child is reaped before this
+    returns or raises.
+    """
+    workers = max(1, min(_cpus(), len(items)))
+    if serial or threading.active_count() > 1:
+        workers = 1
+    shares = [items[j::workers] for j in range(workers)]
+    children = []  # (pid, read end of its report pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork_tally(tally, share))
+        merged = tally(shares[0])
+        while children:
+            pid, pipe = children[-1]
+            blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop()  # only once reaped, so the cleanup never waits on it again
+            pipe.close()
+            if not blob:
+                raise RuntimeError(
+                    f"forked child {pid} ended without a report "
+                    f"(wait status {status:#x}, exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, payload = pickle.loads(blob)
+            if not ok:
+                raise payload
+            merged.update(payload)
+        return merged
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_tally(tally, share: list):
+    """Fork a child that runs ``tally(share)`` and pickles ``(True, result)``
+    or ``(False, exception)`` down a pipe; return (pid, the pipe's read end).
+
+    The child always leaves by ``os._exit``, so it never flushes inherited
+    stdio buffers, runs atexit hooks or returns into the caller's frames.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                report = (True, tally(share))
+            except BaseException as exc:
+                report = (False, exc)
+            try:
+                blob = pickle.dumps(report)
+                pickle.loads(blob)  # some exceptions pickle but cannot be rebuilt
+            except Exception:
+                blob = pickle.dumps((False, RuntimeError(f"forked child raised {report[1]!r}")))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(blob)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")

@@ -8,6 +8,13 @@ trial index), making whole runs reproducible bit-for-bit: re-running with
 the same config bytes yields identical per-trial rows, and the CSV bodies
 exclude wall-clock fields for exactly that reason.
 
+The ``pac``, ``sq`` and ``validsig`` runners draw each trial from its own
+stream, so their trials are shared across CPUs by forked children
+(``core._tally_shared``) and their rows and aggregates are the serial
+bytes.  ``correctness``, ``trace`` and ``games`` pass one stream through
+every trial, so their trials run one after another (a ``trace`` trial's
+bucket estimator still shares its buckets).
+
 Exit-code contract used by the CLI: 0 on success, 2 on config errors, 3
 when an experiment's gate thresholds fail (for CI gating).
 """
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import check_strong_correctness, check_weak_correctness
+from .core import _tally_shared, check_strong_correctness, check_weak_correctness
 from .encthresh import (
     DISTRIBUTION_FAMILIES,
     POINT_MASS_POINTS,
@@ -362,6 +369,15 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _trial_rows(trial_row, items) -> list:
+    """``[trial_row(item) for item in items]``, the items shared across CPUs
+    by ``core._tally_shared``.  So a row may depend only on the config and
+    its item: state a trial builds in a child is not carried back."""
+    items = list(items)
+    rows = _tally_shared(lambda share: {item: trial_row(item) for item in share}, items)
+    return [rows[item] for item in items]
+
+
 def _run_correctness(config: ExperimentConfig):
     scheme = build_scheme(config)
     rng = derive_trial_rng(config.seed, 0)
@@ -406,36 +422,37 @@ def _run_pac(config: ExperimentConfig):
         DISTRIBUTION_FAMILIES if config.dist == "all" else (config.dist,)
     )
     columns = ["family", "trial", "n", "error", "good", "one_sided_ok", "hypothesis"]
-    rows = []
-    rates = {}
-    one_sided_all = True
-    for family in families:
-        good = 0
-        for trial in range(config.trials):
-            rng = derive_trial_rng(config.seed, trial, label=family.encode())
-            concept = random_concept(scheme, rng)
-            dist = make_distribution(family, concept, rng)
-            sample = labeled_sample(concept, dist, n, rng)
-            hypothesis = pac_learn(scheme, sample)
-            err = hypothesis_error(hypothesis, concept, dist, rng)
-            probes = [x for x, _ in sample] + [dist.sample(rng) for _ in range(50)]
-            one_sided = all(
-                hypothesis.evaluate(x) <= concept.evaluate(x) for x in probes
-            )
-            one_sided_all &= one_sided
-            good += err <= config.alpha
-            rows.append(
-                {
-                    "family": family,
-                    "trial": trial,
-                    "n": n,
-                    "error": err,
-                    "good": err <= config.alpha,
-                    "one_sided_ok": one_sided,
-                    "hypothesis": hypothesis.kind,
-                }
-            )
-        rates[family] = good / config.trials if config.trials else float("nan")
+
+    def trial_row(item):
+        family, trial = item
+        rng = derive_trial_rng(config.seed, trial, label=family.encode())
+        concept = random_concept(scheme, rng)
+        dist = make_distribution(family, concept, rng)
+        sample = labeled_sample(concept, dist, n, rng)
+        hypothesis = pac_learn(scheme, sample)
+        err = hypothesis_error(hypothesis, concept, dist, rng)
+        probes = [x for x, _ in sample] + [dist.sample(rng) for _ in range(50)]
+        one_sided = all(
+            hypothesis.evaluate(x) <= concept.evaluate(x) for x in probes
+        )
+        return {
+            "family": family,
+            "trial": trial,
+            "n": n,
+            "error": err,
+            "good": err <= config.alpha,
+            "one_sided_ok": one_sided,
+            "hypothesis": hypothesis.kind,
+        }
+
+    rows = _trial_rows(trial_row, [(f, t) for f in families for t in range(config.trials)])
+    rates = {
+        f: sum(r["good"] for r in rows if r["family"] == f) / config.trials
+        if config.trials
+        else float("nan")
+        for f in families
+    }
+    one_sided_all = all(r["one_sided_ok"] for r in rows)
     aggregates = {f"rate_{f}": r for f, r in rates.items()}
     aggregates["one_sided_all"] = one_sided_all
     passed = one_sided_all and all(r >= 0.90 for r in rates.values())
@@ -577,35 +594,30 @@ def _run_hybrid(config: ExperimentConfig):
 def _run_sq(config: ExperimentConfig):
     scheme = build_scheme(config, coin_len=_KEYSPACES[config.keyspace])
     columns = ["trial", "queries", "recovered_t", "true_t", "error", "hypothesis"]
-    rows = []
     bound = 1 + 8 * scheme.params_len() + config.ell
-    all_good = True
-    for trial in range(config.trials):
+
+    def trial_row(trial):
         rng = derive_trial_rng(config.seed, trial)
         concept = random_concept(scheme, rng, t=int(rng.integers(1, scheme.domain_size + 1)))
         dist = random_point_mass(concept, min(256, scheme.domain_size), rng)
-        oracle_mode = config.mode or "exact"
-        oracle = StatOracle(concept, dist, config.alpha, mode=oracle_mode, rng=rng)
+        oracle = StatOracle(concept, dist, config.alpha, mode=config.mode or "exact", rng=rng)
         if config.keyspace == "tiny":
             recovery = TinyKeyspaceRecovery(scheme)
         else:
             recovery = OracleKeyRecovery()
             recovery.register(concept.key)
         hypothesis = sq_learn(oracle, config.alpha, recovery, scheme)
-        err = oracle.error(hypothesis)
-        recovered_t = getattr(hypothesis, "t", None)
-        ok = err <= config.alpha and oracle.query_count <= bound
-        all_good &= ok
-        rows.append(
-            {
-                "trial": trial,
-                "queries": oracle.query_count,
-                "recovered_t": recovered_t,
-                "true_t": concept.t,
-                "error": err,
-                "hypothesis": hypothesis.kind,
-            }
-        )
+        return {
+            "trial": trial,
+            "queries": oracle.query_count,
+            "recovered_t": getattr(hypothesis, "t", None),
+            "true_t": concept.t,
+            "error": oracle.error(hypothesis),
+            "hypothesis": hypothesis.kind,
+        }
+
+    rows = _trial_rows(trial_row, range(config.trials))
+    all_good = all(r["error"] <= config.alpha and r["queries"] <= bound for r in rows)
     aggregates = {"query_bound": bound, "all_good": all_good}
     return columns, rows, aggregates, all_good
 
@@ -613,40 +625,39 @@ def _run_sq(config: ExperimentConfig):
 def _run_validsig(config: ExperimentConfig):
     sig = Ed25519Scheme()
     columns = ["trial", "outcome", "detail"]
-    rows = []
+    n = required_sample_size(config.alpha, config.beta)
+
+    def learn(rng):
+        state, _ = validsig_gen_ex(sig, 1, config.ell, rng)
+        dist = SigExampleDistribution(state, positive_weight=0.5, rng=rng)
+        rep = validsig_learn(labeled_sample(state.concept, dist, n, rng))
+        err = representation_error(rep, state.concept, dist.positive_mass())
+        return err <= config.alpha, err
+
+    def trace(rng):
+        state, sample = validsig_gen_ex(sig, config.n, config.ell, rng)
+        accused = validsig_trace_ex(state, validsig_learn(sample))
+        return accused is not None, accused
+
+    def forge(rng):
+        result = run_weak_forgery_game(sig, validsig_learn, config.n, config.ell, rng)
+        return result["value"], result.get("reason", "")
+
+    play = {"learn": learn, "trace": trace, "forge": forge}[config.mode]
+
+    def trial_row(trial):
+        outcome, detail = play(derive_trial_rng(config.seed, trial))
+        return {"trial": trial, "outcome": outcome, "detail": detail}
+
+    rows = _trial_rows(trial_row, range(config.trials))
+    hits = sum(r["outcome"] for r in rows)
+    rate = hits / config.trials if config.trials else float("nan")
     if config.mode == "learn":
-        n = required_sample_size(config.alpha, config.beta)
-        good = 0
-        for trial in range(config.trials):
-            rng = derive_trial_rng(config.seed, trial)
-            state, _ = validsig_gen_ex(sig, 1, config.ell, rng)
-            dist = SigExampleDistribution(state, positive_weight=0.5, rng=rng)
-            sample = labeled_sample(state.concept, dist, n, rng)
-            rep = validsig_learn(sample)
-            err = representation_error(rep, state.concept, dist.positive_mass())
-            good += err <= config.alpha
-            rows.append({"trial": trial, "outcome": err <= config.alpha, "detail": err})
-        rate = good / config.trials if config.trials else float("nan")
         return columns, rows, {"success_rate": rate}, rate >= 0.90
     if config.mode == "trace":
-        traced = 0
-        for trial in range(config.trials):
-            rng = derive_trial_rng(config.seed, trial)
-            state, sample = validsig_gen_ex(sig, config.n, config.ell, rng)
-            rep = validsig_learn(sample)
-            accused = validsig_trace_ex(state, rep)
-            traced += accused is not None
-            rows.append({"trial": trial, "outcome": accused is not None, "detail": accused})
-        rate = traced / config.trials if config.trials else float("nan")
         return columns, rows, {"traced_rate": rate}, rate == 1.0
     # forge: the honest learner must never win the weak forgery game
-    wins = 0
-    for trial in range(config.trials):
-        rng = derive_trial_rng(config.seed, trial)
-        result = run_weak_forgery_game(sig, validsig_learn, config.n, config.ell, rng)
-        wins += result["value"]
-        rows.append({"trial": trial, "outcome": result["value"], "detail": result.get("reason", "")})
-    return columns, rows, {"wins": wins}, wins == 0
+    return columns, rows, {"wins": hits}, hits == 0
 
 
 _RUNNERS = {

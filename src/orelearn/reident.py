@@ -26,18 +26,13 @@ slack xi rules out any efficient (eps, delta)-differentially private
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encthresh import EncThreshConcept, Example, UniformValidDistribution, hypothesis_error
-from .core import OreScheme
+from .core import OreScheme, _tally_shared
 
 __all__ = [
     "ReidentState",
@@ -185,17 +180,13 @@ def estimate_bucket_probs(
 
     Each nonempty bucket draws its K messages from ``rng`` in bucket order,
     encrypts them and counts the hypothesis's acceptances.  Once the draws
-    are fixed the buckets are independent, so the nonempty ones are shared
-    round robin between this process and P - 1 children made with
-    ``os.fork``, where P is the smaller of ``_cpus()`` and the number of
-    nonempty buckets.  Every process replays every bucket's draws, in order,
-    on its own copy of ``rng`` and scores only its own buckets; a child
-    pickles its counts down a pipe and leaves by ``os._exit``.  The
-    estimates, the degraded flag and where ``rng`` is left are the same
-    bytes as the serial loop's for every P.  The loop stays serial when P is
-    1, when the platform has no ``os.fork`` or ``os.sched_getaffinity``,
-    when another Python thread is alive (it could hold a lock the child
-    needs; native threads such as numpy's BLAS pool do not count), and below
+    are fixed the buckets are independent, so ``core._tally_shared`` shares
+    the nonempty ones round robin between this process and forked children,
+    one per further CPU.  Every process replays every bucket's draws, in
+    order, on its own copy of ``rng`` and scores only its own buckets, so
+    the estimates, the degraded flag and where ``rng`` is left are the same
+    bytes as the serial loop's for every process count.  Besides where the
+    helper itself stays serial, the loop stays serial below
     ``FORK_MIN_DRAWS`` (1000) draws in all.  That floor is sized from the
     fork round trip (fork, pickled report, reap): a median of about 5 ms
     (4-10 ms) on a shared 2-CPU Xeon under Python 3.11, where one draw costs
@@ -221,9 +212,9 @@ def estimate_bucket_probs(
         evaluate_many = lambda examples: map(hypothesis.evaluate, examples)
     live = [i for i in range(n + 1) if bounds[i + 1] > bounds[i]]
 
-    def tally(share: set) -> dict:
+    def tally(share: list) -> dict:
         """Accepted count of each bucket in ``share``; draws every live bucket."""
-        hits = {}
+        share, hits = set(share), {}
         for i in live:
             draws = rng.integers(bounds[i], bounds[i + 1], size=k)
             if i not in share:
@@ -236,10 +227,7 @@ def estimate_bucket_probs(
             hits[i] = acc
         return hits
 
-    workers = min(_cpus(), len(live))
-    if k * len(live) < FORK_MIN_DRAWS or threading.active_count() > 1:
-        workers = 1
-    hits = _tally_shared(tally, [set(live[j::workers]) for j in range(workers)])
+    hits = _tally_shared(tally, live, serial=k * len(live) < FORK_MIN_DRAWS)
     p_hat = np.zeros(n + 1)
     for i in range(n + 1):
         if i in hits:
@@ -247,84 +235,6 @@ def estimate_bucket_probs(
         elif i > 0:
             p_hat[i] = p_hat[i - 1]
     return p_hat, k, conforming, len(live) < n + 1
-
-
-def _cpus() -> int:
-    """How many processes may share the buckets: the CPUs this process may
-    run on, or 1 where the platform has no ``fork`` or affinity mask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _tally_shared(tally, shares: list) -> dict:
-    """``tally(shares[0])`` here and each later share in a forked child, merged.
-
-    A child that raised has its exception re-raised here; if anything here
-    raises first, the children still running are killed.  Either way every
-    child is reaped before this returns or raises.
-    """
-    children = []  # (pid, read end of its report pipe), not yet reaped
-    try:
-        for share in shares[1:]:
-            children.append(_fork_tally(tally, share))
-        hits = tally(shares[0])
-        while children:
-            pid, pipe = children[-1]
-            blob = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop()  # only once reaped, so the cleanup never waits on it again
-            pipe.close()
-            if not blob:
-                raise RuntimeError(
-                    f"estimator child {pid} ended without a report "
-                    f"(wait status {status:#x}, exit code {os.waitstatus_to_exitcode(status)})"
-                )
-            ok, payload = pickle.loads(blob)
-            if not ok:
-                raise payload
-            hits.update(payload)
-        return hits
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork_tally(tally, share: set):
-    """Fork a child that runs ``tally(share)`` and pickles ``(True, counts)``
-    or ``(False, exception)`` down a pipe; return (pid, the pipe's read end).
-
-    The child always leaves by ``os._exit``, so it never flushes inherited
-    stdio buffers, runs atexit hooks or returns into the caller's frames.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                report = (True, tally(share))
-            except BaseException as exc:
-                report = (False, exc)
-            try:
-                blob = pickle.dumps(report)
-                pickle.loads(blob)  # some exceptions pickle but cannot be rebuilt
-            except Exception:
-                blob = pickle.dumps((False, RuntimeError(f"estimator child raised {report[1]!r}")))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(blob)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
 
 
 def accuse_from_estimates(estimates: np.ndarray, gamma: float, n: int) -> "int | None":

@@ -94,8 +94,9 @@ class StatOracle:
     """Answers statistical queries about a labeled example distribution.
 
     The distribution must expose ``support() -> [(Example, weight)]``;
-    answers are exact expectations, optionally jittered by noise uniform
-    in [-tau, tau] (clipped to [0, 1], which preserves the tau bound).
+    ``query(psi, tau)`` answers the exact expectation of ``psi(x, label)``
+    over the support, optionally jittered by noise uniform in [-tau, tau]
+    (clipped to [0, 1], which preserves the tau bound).
     The query counter increments once per query, and jitter mode draws
     once per query.  Each support point is labelled once, when the oracle
     is built, and ``error`` scores a hypothesis against those labels:
@@ -138,22 +139,6 @@ class StatOracle:
         self._views: dict = {}  # view function -> (value per support point, distinct values)
         self._answers: dict = {}  # (view function, verdict per distinct value) -> weight sum
 
-    def true_expectation(self, psi) -> float:
-        if not isinstance(psi, ViewQuery):
-            return sum(w for x, w, label in self._support if psi(x, label))
-        views = self._views.get(psi.view)
-        if views is None:
-            values = [psi.view(x, label) for x, _, label in self._support]
-            views = self._views[psi.view] = (values, tuple(dict.fromkeys(values)))
-        values, distinct = views
-        key = (psi.view, tuple(map(psi.test, distinct)))
-        value = self._answers.get(key)
-        if value is None:
-            passing = {v for v, verdict in zip(distinct, key[1]) if verdict}
-            value = sum(w for (_, w, _), v in zip(self._support, values) if v in passing)
-            self._answers[key] = value
-        return value
-
     def error(self, hypothesis) -> float:
         """``distribution.exact_error(hypothesis, concept)`` bit for bit, scored
         in support order against the stored labels; not a query, so it
@@ -175,7 +160,20 @@ class StatOracle:
                 f"tolerance {tau} below the floor {self.tau_floor}"
             )
         self.query_count += 1
-        value = self.true_expectation(psi)
+        if not isinstance(psi, ViewQuery):
+            value = sum(w for x, w, label in self._support if psi(x, label))
+        else:
+            views = self._views.get(psi.view)
+            if views is None:
+                values = [psi.view(x, label) for x, _, label in self._support]
+                views = self._views[psi.view] = (values, tuple(dict.fromkeys(values)))
+            values, distinct = views
+            key = (psi.view, tuple(map(psi.test, distinct)))
+            value = self._answers.get(key)
+            if value is None:
+                passing = {v for v, verdict in zip(distinct, key[1]) if verdict}
+                value = sum(w for (_, w, _), v in zip(self._support, values) if v in passing)
+                self._answers[key] = value
         if self.mode == "jitter":
             value = min(1.0, max(0.0, value + float(self.rng.uniform(-tau, tau))))
         return value

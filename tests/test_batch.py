@@ -1,9 +1,10 @@
-"""Batched paths return exactly what the per-item calls return.
+"""Batched and shared paths return exactly what the per-item calls return.
 
-``tag_many``/``enc_many``, ``comp_many``/``evaluate_many`` and the per-bucket
-batches of ``estimate_bucket_probs``, and the forked children it shares its
-buckets with, are optimisations only: every property here compares a batch
-with the per-item loop it replaces.
+``tag_many``/``enc_many``, ``comp_many``/``evaluate_many``, the per-bucket
+batches of ``estimate_bucket_probs``, and the forked children that
+``core._tally_shared`` shares the estimator's buckets and the trial
+runners' trials with, are optimisations only: every property here compares
+a batch with the per-item loop it replaces.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orelearn import reident, strengthen
+from orelearn import core, harness, reident, strengthen
 from orelearn.core import BOT, Ordering3, encode_blob, mutate_ciphertext
 from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
 from orelearn.opf import TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
@@ -296,13 +297,20 @@ def _live_buckets(state) -> int:
 
 
 @contextlib.contextmanager
-def _estimator_processes(workers: int, fork_min_draws: int = 0):
-    """Let the estimator share its buckets among ``workers`` processes; yields
-    the list that records each fork it makes."""
+def _processes(workers: int):
+    """Let the shared fork helper split its items among ``workers`` processes;
+    yields the list that records each fork it makes."""
     forks, fork = [], os.fork
-    with mock.patch.object(reident, "_cpus", lambda: workers), mock.patch.object(
-        reident, "FORK_MIN_DRAWS", fork_min_draws
-    ), mock.patch.object(os, "fork", lambda: forks.append(1) or fork()):
+    with mock.patch.object(core, "_cpus", lambda: workers), mock.patch.object(
+        os, "fork", lambda: forks.append(1) or fork()
+    ):
+        yield forks
+
+
+@contextlib.contextmanager
+def _estimator_processes(workers: int, fork_min_draws: int = 0):
+    """``_processes`` with the estimator's draw floor set to ``fork_min_draws``."""
+    with _processes(workers) as forks, mock.patch.object(reident, "FORK_MIN_DRAWS", fork_min_draws):
         yield forks
 
 
@@ -429,3 +437,62 @@ def test_estimator_stays_serial(reason, rng):
         if reason == "thread":
             thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# -- the trial runners ----------------------------------------------------------------
+
+# each runner whose trials are shared, at a size that keeps a trial in milliseconds
+_TRIAL_RUNNERS = {
+    "sq-exact": {"experiment": "sq", "ell": 12},
+    "sq-jitter": {"experiment": "sq", "ell": 12, "mode": "jitter"},
+    "sq-tiny": {"experiment": "sq", "ell": 10, "keyspace": "tiny"},
+    "pac-all": {"experiment": "pac", "ell": 16, "dist": "all"},
+    "validsig-learn": {"experiment": "validsig", "mode": "learn", "ell": 64},
+    "validsig-trace": {"experiment": "validsig", "mode": "trace", "ell": 64, "n": 8},
+    "validsig-forge": {"experiment": "validsig", "mode": "forge", "ell": 64, "n": 8},
+}
+
+
+def _report_bytes(config):
+    report = harness.run(config)
+    return repr(report.rows), repr(report.aggregates), report.passed, report.csv_trials(), report.csv_summary()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 5])
+@pytest.mark.parametrize("runner", sorted(_TRIAL_RUNNERS))
+def test_trial_runners_give_the_serial_report_on_every_process_count(runner, trials, monkeypatch):
+    # a tiny keyspace of one coin byte keeps the exhaustive search to 256 keys
+    monkeypatch.setitem(harness._KEYSPACES, "tiny", 1)
+    config = harness.ExperimentConfig.from_dict({**_TRIAL_RUNNERS[runner], "trials": trials, "seed": 5})
+    items = trials * (len(harness.DISTRIBUTION_FAMILIES) if runner == "pac-all" else 1)
+    reports = []
+    for workers in (1, 2, 3):
+        with _processes(workers) as forks:
+            reports.append(_report_bytes(config))
+        assert len(forks) == max(1, min(workers, items)) - 1
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    if trials == 0:  # a rate over no trials, and no gate
+        assert reports[0][2] is None
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _TrialError(Exception):
+    pass
+
+
+def test_a_failing_trial_raises_in_the_caller_and_leaves_no_child(monkeypatch):
+    derive = harness.derive_trial_rng
+
+    def failing(seed, trial, label=b""):
+        if trial == 1:  # the second of two trials: the child's share
+            raise _TrialError(f"trial {trial}")
+        return derive(seed, trial, label)
+
+    monkeypatch.setattr(harness, "derive_trial_rng", failing)
+    config = harness.ExperimentConfig.from_dict({"experiment": "sq", "ell": 12, "trials": 2})
+    with _processes(2) as forks, pytest.raises(_TrialError, match="trial 1"):
+        harness.run(config)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
