@@ -59,8 +59,6 @@ __all__ = [
     "mutate_ciphertext",
     "encode_blob",
     "decode_blob",
-    "serialize_key",
-    "deserialize_key",
 ]
 
 
@@ -362,27 +360,6 @@ def encode_blob(*fields: bytes) -> bytes:
         out += len(f).to_bytes(4, "big")
         out += f
     return bytes(out)
-
-
-def serialize_key(key: KeyMaterial) -> bytes:
-    """Length-prefixed binary form of generated key material.
-
-    Keys are pure functions of their coins, so the coins plus the params
-    identity are a complete, canonical encoding.
-    """
-    return encode_blob(key.coins, key.params.data, bytes([key.params.ell]))
-
-
-def deserialize_key(scheme: OreScheme, blob: bytes) -> KeyMaterial:
-    """Regenerate key material from its serialized coins; validates params."""
-    fields = decode_blob(blob, 3)
-    if fields is None:
-        raise ValueError("malformed key blob")
-    coins, params_data, ell_byte = fields
-    key = scheme.gen_from_coins(coins)
-    if key.params.data != params_data or key.params.ell != ell_byte[0]:
-        raise ValueError("key blob does not match this scheme's generation")
-    return key
 
 
 def decode_blob(data: bytes, count: int) -> "list[bytes] | None":

@@ -56,6 +56,7 @@ from .games import (
 )
 from .opf import OpfOre, forge_spliced_ciphertext
 from .reident import (
+    capped_sample_count,
     completeness_experiment,
     dp_bound,
     soundness_experiment,
@@ -378,6 +379,11 @@ def _trial_rows(trial_row, items) -> list:
     return [rows[item] for item in items]
 
 
+def _rate(rows: list, pred) -> float:
+    """Share of rows satisfying pred; nan when there are no rows."""
+    return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
+
+
 def _run_correctness(config: ExperimentConfig):
     scheme = build_scheme(config)
     rng = derive_trial_rng(config.seed, 0)
@@ -447,10 +453,7 @@ def _run_pac(config: ExperimentConfig):
 
     rows = _trial_rows(trial_row, [(f, t) for f in families for t in range(config.trials)])
     rates = {
-        f: sum(r["good"] for r in rows if r["family"] == f) / config.trials
-        if config.trials
-        else float("nan")
-        for f in families
+        f: _rate([r for r in rows if r["family"] == f], lambda r: r["good"]) for f in families
     }
     one_sided_all = all(r["one_sided_ok"] for r in rows)
     aggregates = {f"rate_{f}": r for f, r in rates.items()}
@@ -467,34 +470,41 @@ def _run_trace(config: ExperimentConfig):
     # the defaults (alpha=0.05, gamma=0.45) already align
     common = (config.gamma, config.xi, config.trials, rng)
     if config.mode == "completeness":
-        report = completeness_experiment(
+        trials = completeness_experiment(
             scheme, config.n, learner, config.alpha, *common, k_cap=config.k_cap
         )
+        accused = lambda r: r["accused"] is not None
         aggregates = {
-            "p_good": report.p_good,
-            "p_good_and_untraced": report.p_good_and_untraced,
-            "p_accused": report.p_accused,
-            "p_accused_well_spaced": report.p_accused_well_spaced(),
+            "p_good": _rate(trials, lambda r: r["good"]),
+            "p_good_and_untraced": _rate(trials, lambda r: r["good_and_untraced"]),
+            "p_accused": _rate(trials, accused),
+            "p_accused_well_spaced": _rate([r for r in trials if r["well_spaced"]], accused),
         }
         passed = (
-            report.p_good_and_untraced <= 0.05
-            and report.p_accused_well_spaced() >= 0.95
+            aggregates["p_good_and_untraced"] <= 0.05
+            and aggregates["p_accused_well_spaced"] >= 0.95
         )
     else:
-        report = soundness_experiment(
+        trials = soundness_experiment(
             scheme, config.n, learner, config.drop_index, *common, k_cap=config.k_cap
         )
+        dropped = lambda r: r["accused"] == config.drop_index
         aggregates = {
-            "p_accuse_dropped": report.p_accuse_dropped,
-            "p_accuse_dropped_well_spaced": report.p_accuse_dropped_well_spaced(),
+            "p_accuse_dropped": _rate(trials, dropped),
+            "p_accuse_dropped_well_spaced": _rate(
+                [r for r in trials if r["well_spaced"]], dropped
+            ),
             "drop_index": config.drop_index,
         }
-        passed = report.p_accuse_dropped <= 0.02
-    aggregates["k_conforming"] = report.k_conforming
+        passed = aggregates["p_accuse_dropped"] <= 0.02
+    # a fact about the config, so a run of zero trials reports it too
+    _, aggregates["k_conforming"] = capped_sample_count(
+        config.n, config.gamma, config.xi, config.k_cap
+    )
     aggregates["dp_delta_bound"] = dp_bound(config.beta, config.xi, config.n, config.eps)
     columns = ["trial", "well_spaced", "error", "accused", "good_and_untraced"]
     # soundness rows carry no error and no good_and_untraced: their cells stay empty
-    rows = [{"trial": t, **{c: r.get(c) for c in columns[1:]}} for t, r in enumerate(report.rows)]
+    rows = [{"trial": t, **{c: r.get(c) for c in columns[1:]}} for t, r in enumerate(trials)]
     return columns, rows, aggregates, passed
 
 
@@ -650,14 +660,14 @@ def _run_validsig(config: ExperimentConfig):
         return {"trial": trial, "outcome": outcome, "detail": detail}
 
     rows = _trial_rows(trial_row, range(config.trials))
-    hits = sum(r["outcome"] for r in rows)
-    rate = hits / config.trials if config.trials else float("nan")
+    if config.mode == "forge":
+        # the honest learner must never win the weak forgery game
+        wins = sum(r["outcome"] for r in rows)
+        return columns, rows, {"wins": wins}, wins == 0
+    rate = _rate(rows, lambda r: r["outcome"])
     if config.mode == "learn":
         return columns, rows, {"success_rate": rate}, rate >= 0.90
-    if config.mode == "trace":
-        return columns, rows, {"traced_rate": rate}, rate == 1.0
-    # forge: the honest learner must never win the weak forgery game
-    return columns, rows, {"wins": hits}, hits == 0
+    return columns, rows, {"traced_rate": rate}, rate == 1.0
 
 
 _RUNNERS = {

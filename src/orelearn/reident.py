@@ -27,7 +27,7 @@ slack xi rules out any efficient (eps, delta)-differentially private
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +41,13 @@ __all__ = [
     "gen_ex",
     "sample_without",
     "concentration_sample_count",
+    "capped_sample_count",
     "estimate_bucket_probs",
     "trace_ex",
     "accuse_from_estimates",
     "completeness_experiment",
     "soundness_experiment",
     "dp_bound",
-    "CompletenessReport",
-    "SoundnessReport",
 ]
 
 # draws per enc_many/evaluate_many call in the bucket estimator; bounds the
@@ -75,18 +74,12 @@ class ReidentState:
     def n(self) -> int:
         return len(self.raw_messages)
 
-    @property
-    def sorted_messages(self) -> np.ndarray:
-        """m_1 <= ... <= m_n."""
-        return self.bucket_bounds[1:-1]
-
 
 @dataclass
 class TraceVerdict:
     accused: "int | None"  # raw sample index in [1, n], or None for no accusation
     accused_sorted: "int | None"  # sorted position of the separating message
     estimates: np.ndarray  # p_hat_0 .. p_hat_n
-    k_conforming: bool  # False when a reduced K was used
     degraded: bool = False  # True when empty buckets inherited estimates
 
 
@@ -163,6 +156,16 @@ def concentration_sample_count(n: int, gamma: float, xi: float) -> int:
     return math.ceil((8.0 * n * n / (gamma * gamma)) * math.log(9.0 * n / xi))
 
 
+def capped_sample_count(
+    n: int, gamma: float, xi: float, k_cap: "int | None" = None
+) -> tuple[int, bool]:
+    """(K used, conforming): K capped at k_cap, conforming unless the cap lowers it."""
+    k_exact = concentration_sample_count(n, gamma, xi)
+    if k_cap is None or k_cap >= k_exact:
+        return k_exact, True
+    return k_cap, False
+
+
 def estimate_bucket_probs(
     state: ReidentState,
     hypothesis,
@@ -201,9 +204,7 @@ def estimate_bucket_probs(
     returns or raises.
     """
     n = state.n
-    k_exact = concentration_sample_count(n, gamma, xi)
-    k = min(k_exact, k_cap) if k_cap is not None else k_exact
-    conforming = k >= k_exact
+    k, conforming = capped_sample_count(n, gamma, xi, k_cap)
     bounds = state.bucket_bounds.tolist()
     concept = state.concept
     scheme, sk, params = concept.scheme, concept.key.sk, concept.key.params
@@ -255,7 +256,7 @@ def trace_ex(
     k_cap: "int | None" = None,
 ) -> TraceVerdict:
     """Estimate bucket probabilities and accuse the first separating index."""
-    estimates, _, conforming, degraded = estimate_bucket_probs(
+    estimates, _, _, degraded = estimate_bucket_probs(
         state, hypothesis, gamma, xi, rng, k_cap=k_cap
     )
     sorted_i = accuse_from_estimates(estimates, gamma, state.n)
@@ -266,7 +267,6 @@ def trace_ex(
         accused=raw_i,
         accused_sorted=sorted_i,
         estimates=estimates,
-        k_conforming=conforming,
         degraded=degraded,
     )
 
@@ -274,33 +274,6 @@ def trace_ex(
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
-
-
-def _share(rows: list, pred) -> float:
-    """Share of rows satisfying pred; nan when there are no rows."""
-    return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
-
-
-@dataclass
-class CompletenessReport:
-    rows: list = field(default_factory=list)
-    k_conforming: bool = True
-
-    @property
-    def p_good(self) -> float:
-        return _share(self.rows, lambda r: r["good"])
-
-    @property
-    def p_good_and_untraced(self) -> float:
-        return _share(self.rows, lambda r: r["good_and_untraced"])
-
-    @property
-    def p_accused(self) -> float:
-        return _share(self.rows, lambda r: r["accused"] is not None)
-
-    def p_accused_well_spaced(self) -> float:
-        ws = [r for r in self.rows if r["well_spaced"]]
-        return _share(ws, lambda r: r["accused"] is not None)
 
 
 def completeness_experiment(
@@ -313,14 +286,15 @@ def completeness_experiment(
     trials: int,
     rng: np.random.Generator,
     k_cap: "int | None" = None,
-) -> CompletenessReport:
+) -> list[dict]:
     """Can a good hypothesis be traced to some example?
 
     Per trial: generate, learn on the full sample, measure error, trace.
-    Reports the rates of (error <= alpha), (good and untraced), and
-    (accused), both overall and restricted to well-spaced draws.
+    Returns one row per trial: whether the draw was well-spaced, the error,
+    whether it is at most alpha (good), the accused index, and whether the
+    hypothesis was good and untraced.
     """
-    report = CompletenessReport()
+    rows = []
     for _ in range(trials):
         state, sample = gen_ex(scheme, n, rng)
         hypothesis = learner(sample)
@@ -329,8 +303,7 @@ def completeness_experiment(
             hypothesis, state.concept, UniformValidDistribution(state.concept), rng
         )
         verdict = trace_ex(state, hypothesis, gamma, xi, rng, k_cap=k_cap)
-        report.k_conforming &= verdict.k_conforming
-        report.rows.append(
+        rows.append(
             {
                 "well_spaced": state.well_spaced,
                 "error": err,
@@ -339,22 +312,7 @@ def completeness_experiment(
                 "good_and_untraced": err <= alpha and verdict.accused is None,
             }
         )
-    return report
-
-
-@dataclass
-class SoundnessReport:
-    drop_index: int
-    rows: list = field(default_factory=list)
-    k_conforming: bool = True
-
-    @property
-    def p_accuse_dropped(self) -> float:
-        return _share(self.rows, lambda r: r["accused"] == self.drop_index)
-
-    def p_accuse_dropped_well_spaced(self) -> float:
-        ws = [r for r in self.rows if r["well_spaced"]]
-        return _share(ws, lambda r: r["accused"] == self.drop_index)
+    return rows
 
 
 def soundness_experiment(
@@ -367,21 +325,24 @@ def soundness_experiment(
     trials: int,
     rng: np.random.Generator,
     k_cap: "int | None" = None,
-) -> SoundnessReport:
-    """How often is the dropped example accused when the learner never saw it?"""
-    report = SoundnessReport(drop_index=drop_index)
+) -> list[dict]:
+    """How often is the dropped example accused when the learner never saw it?
+
+    Returns one row per trial: whether the draw was well-spaced and the
+    accused index.
+    """
+    rows = []
     for _ in range(trials):
         state, sample = gen_ex(scheme, n, rng)
         hypothesis = learner(sample_without(state, sample, drop_index))
         verdict = trace_ex(state, hypothesis, gamma, xi, rng, k_cap=k_cap)
-        report.k_conforming &= verdict.k_conforming
-        report.rows.append(
+        rows.append(
             {
                 "well_spaced": state.well_spaced,
                 "accused": verdict.accused,
             }
         )
-    return report
+    return rows
 
 
 def dp_bound(beta: float, xi: float, n: int, eps: float) -> float:

@@ -182,17 +182,3 @@ def test_blob_roundtrip_and_strictness():
     assert decode_blob(blob + b"!", 3) is None  # trailing bytes rejected
     assert decode_blob(blob[:-1], 3) is None  # short buffer rejected
     assert decode_blob(b"", 1) is None
-
-
-def test_key_serialization_roundtrip(rng):
-    from orelearn.core import deserialize_key, serialize_key
-
-    scheme = OpfOre(ell=12)
-    key = scheme.gen(rng)
-    restored = deserialize_key(scheme, serialize_key(key))
-    assert restored.params == key.params
-    assert scheme.enc(restored.sk, 99) == scheme.enc(key.sk, 99)
-    with pytest.raises(ValueError):
-        deserialize_key(scheme, b"junk")
-    with pytest.raises(ValueError):
-        deserialize_key(OpfOre(ell=10), serialize_key(key))  # wrong scheme

@@ -16,6 +16,7 @@ from orelearn.harness import (
     derive_trial_rng,
     run,
 )
+from orelearn.reident import concentration_sample_count
 
 
 def _cfg(**kw):
@@ -249,6 +250,24 @@ def test_synthetic_games_at_zero_trials_warn_nothing():
     assert [row["trials"] for row in report.rows] == [0, 0, 0]
     assert all(math.isnan(row["advantage"]) for row in report.rows)
     assert math.isnan(report.aggregates["max_gap"])
+
+
+# n=1, gamma=xi=0.5: K = ceil(32 ln 18) = 93 draws per bucket, so a trial is cheap
+_SMALL_K = 93
+
+
+@pytest.mark.parametrize("mode", ["completeness", "soundness"])
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize(
+    "k_cap, conforming",
+    [(_SMALL_K - 1, False), (_SMALL_K, True), (_SMALL_K + 1, True), (None, True)],
+)
+def test_k_conforming_is_the_configs_cap_against_k(mode, trials, k_cap, conforming):
+    # a fact about the config, so a run of zero trials reports it too
+    raw = {"experiment": "trace", "mode": mode, "ell": 32, "n": 1, "gamma": 0.5, "xi": 0.5}
+    raw.update(trials=trials, k_cap=k_cap, drop_index=1 if mode == "soundness" else None)
+    assert concentration_sample_count(1, 0.5, 0.5) == _SMALL_K
+    assert run(ExperimentConfig.from_dict(raw)).aggregates["k_conforming"] is conforming
 
 
 def test_csv_headers_are_versioned_and_pinned():

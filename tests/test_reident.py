@@ -14,6 +14,7 @@ from orelearn.encthresh import (
 from orelearn.opf import OpfOre
 from orelearn.reident import (
     accuse_from_estimates,
+    capped_sample_count,
     completeness_experiment,
     dp_bound,
     estimate_bucket_probs,
@@ -65,9 +66,10 @@ def test_gen_ex_well_spacing_fails_under_pigeonhole_pressure():
 
 def test_gen_ex_sorted_is_permutation_of_raw(rng):
     state, _ = gen_ex(_scheme(), 20, rng)
-    assert sorted(state.raw_messages.tolist()) == state.sorted_messages.tolist()
+    sorted_messages = state.bucket_bounds[1:-1].tolist()  # m_1 <= ... <= m_n
+    assert sorted(state.raw_messages.tolist()) == sorted_messages
     recon = [state.raw_messages[i] for i in state.sorted_to_raw]
-    assert recon == state.sorted_messages.tolist()
+    assert recon == sorted_messages
 
 
 def test_sample_without_replaces_one_slot(rng):
@@ -235,31 +237,34 @@ def test_dp_bound_validates():
 def test_completeness_smoke(rng):
     scheme = _scheme(ell=24)
     learner = lambda sample: pac_learn(scheme, sample)
-    report = completeness_experiment(
+    rows = completeness_experiment(
         scheme, 12, learner, alpha=0.05, gamma=0.45, xi=0.05, trials=4, rng=rng, k_cap=150
     )
-    assert report.p_accused == 1.0
-    assert report.p_good_and_untraced == 0.0
-    assert not report.k_conforming
+    assert len(rows) == 4
+    assert all(r["accused"] is not None for r in rows)
+    assert not any(r["good_and_untraced"] for r in rows)
+    assert capped_sample_count(12, 0.45, 0.05, k_cap=150) == (150, False)
 
 
 def test_completeness_all_zeroes_learner_is_not_good(rng):
     scheme = _scheme(ell=24)
     learner = lambda sample: AllZeroesHypothesis()
-    report = completeness_experiment(
+    rows = completeness_experiment(
         scheme, 12, learner, alpha=0.05, gamma=0.45, xi=0.05, trials=3, rng=rng, k_cap=100
     )
-    assert report.p_good == 0.0  # error ~ 0.5, far above alpha
-    assert report.p_good_and_untraced == 0.0
+    assert len(rows) == 3
+    assert not any(r["good"] for r in rows)  # error ~ 0.5, far above alpha
+    assert not any(r["good_and_untraced"] for r in rows)
 
 
 def test_soundness_smoke(rng):
     scheme = _scheme(ell=24)
     learner = lambda sample: pac_learn(scheme, sample)
-    report = soundness_experiment(
+    rows = soundness_experiment(
         scheme, 12, learner, drop_index=5, gamma=0.45, xi=0.05, trials=6, rng=rng, k_cap=150
     )
-    assert report.p_accuse_dropped == 0.0
+    assert len(rows) == 6
+    assert not any(r["accused"] == 5 for r in rows)
 
 
 def test_soundness_input_ignoring_learner(rng):
@@ -272,7 +277,8 @@ def test_soundness_input_ignoring_learner(rng):
             return 0
 
     learner = lambda sample: FixedZero()
-    report = soundness_experiment(
+    rows = soundness_experiment(
         scheme, 10, learner, drop_index=3, gamma=0.45, xi=0.05, trials=5, rng=rng, k_cap=100
     )
-    assert report.p_accuse_dropped <= 1 / 10 + 0.2
+    assert len(rows) == 5
+    assert sum(r["accused"] == 3 for r in rows) / len(rows) <= 1 / 10 + 0.2
