@@ -24,8 +24,9 @@ version tag followed by a one-byte plaintext bit length; the body is
 scheme specific and parsers must tolerate arbitrary body bytes.
 
 ``_tally_shared`` is the one place that shares independent work across
-CPUs with ``os.fork``: the bucket estimator's buckets and the harness
-runners' trials.
+CPUs with ``os.fork``: the bucket estimator's buckets, the harness
+runners' trials and the correctness checkers' pairs.  ``_rate`` is the one
+rate-over-trials rule of the harness runners and the games.
 """
 
 from __future__ import annotations
@@ -258,18 +259,25 @@ def check_weak_correctness(
     message_pairs: Iterable[tuple[int, int]],
     key: KeyMaterial,
 ) -> CheckReport:
-    """Verify comp(enc(m0), enc(m1)) matches plaintext order on honest pairs."""
+    """Verify comp(enc(m0), enc(m1)) matches plaintext order on honest pairs.
+
+    The pairs are shared across CPUs; each process encrypts the distinct
+    messages of its own pairs.  The report lists failures in pair order.
+    """
     pairs = list(message_pairs)
-    ms = list(dict.fromkeys(m for pair in pairs for m in pair))
-    ct_of = dict(zip(ms, scheme.enc_many(key.sk, ms)))
-    report = CheckReport()
-    for m0, m1 in pairs:
-        got = scheme.comp(key.params, ct_of[m0], ct_of[m1])
-        want = compare_ints(m0, m1)
-        report.checked += 1
-        if got is not want:
-            report.add_failure({"m0": m0, "m1": m1, "got": got, "want": want})
-    return report
+
+    def tally(share):
+        ms = list(dict.fromkeys(m for i in share for m in pairs[i]))
+        ct_of = dict(zip(ms, scheme.enc_many(key.sk, ms)))
+        found = {}
+        for i in share:
+            m0, m1 = pairs[i]
+            got = scheme.comp(key.params, ct_of[m0], ct_of[m1])
+            want = compare_ints(m0, m1)
+            found[i] = None if got is want else ({"m0": m0, "m1": m1, "got": got, "want": want},)
+        return found
+
+    return _shared_report(tally, len(pairs))
 
 
 MUTATION_CLASSES = ("valid", "bitflip", "truncate", "random")
@@ -324,28 +332,48 @@ def check_strong_correctness(
     The pairs come from a ``FuzzPairSampler`` of the key.  The identity must
     hold exactly, including BOT agreement.  ``extra_pairs`` lets callers
     inject constructed witnesses (e.g. spliced tag/payload forgeries)
-    alongside the sampled classes.
+    alongside the sampled classes; they are checked first.  The sampling
+    stays here; the checks are shared across CPUs, and the report lists
+    failures in pair order.
     """
     sampler = FuzzPairSampler(scheme, key)
-    report = CheckReport()
-
-    def check_pair(c0: bytes, c1: bytes, cls: str):
-        pub = scheme.comp(key.params, c0, c1)
-        ref = comp_ciph(scheme, key.sk, c0, c1)
-        report.checked += 1
-        if pub is not ref:
-            report.add_failure(
-                {"class": cls, "comp": str(pub), "comp_ciph": str(ref)},
-                mutation_class=cls,
-            )
-
-    for c0, c1 in extra_pairs:
-        check_pair(c0, c1, "witness")
+    # every pair is drawn here first: checking a pair draws nothing, so the
+    # checks can be shared and the rng is left where the serial loop leaves it
+    pairs = [(c0, c1, "witness") for c0, c1 in extra_pairs]
     for _ in range(trials):
         c0, cls0 = sampler.sample(rng)
         c1, cls1 = sampler.sample(rng)
-        check_pair(c0, c1, f"{cls0}+{cls1}")
+        pairs.append((c0, c1, f"{cls0}+{cls1}"))
+
+    def tally(share):
+        found = {}
+        for i in share:
+            c0, c1, cls = pairs[i]
+            pub = scheme.comp(key.params, c0, c1)
+            ref = comp_ciph(scheme, key.sk, c0, c1)
+            found[i] = None if pub is ref else (
+                {"class": cls, "comp": str(pub), "comp_ciph": str(ref)}, cls
+            )
+        return found
+
+    return _shared_report(tally, len(pairs))
+
+
+def _shared_report(tally, count: int) -> CheckReport:
+    """The report of a sweep over pairs 0 .. count - 1, shared across CPUs by
+    ``_tally_shared``: ``tally(share)`` maps each of its pair indices to None
+    (agreement) or the ``add_failure`` arguments, merged here in pair order."""
+    found = _tally_shared(tally, list(range(count)))
+    report = CheckReport(checked=count)
+    for i in range(count):
+        if found[i] is not None:
+            report.add_failure(*found[i])
     return report
+
+
+def _rate(rows: list, pred) -> float:
+    """Share of rows satisfying pred; nan when there are no rows."""
+    return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
 
 
 # ---------------------------------------------------------------------------

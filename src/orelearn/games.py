@@ -28,13 +28,12 @@ acceptance rates (p, q) is 1/2 + (p-q)^2/2, computed by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import OreScheme, PublicParams
+from .core import OreScheme, PublicParams, _rate
 from .encthresh import Example
 from .reident import draw_buckets
 from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
@@ -163,8 +162,8 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
             )
     n0, n1 = len(guesses[0]), len(guesses[1])
     # a bit that was never drawn has no rate, so neither has the advantage
-    p0 = sum(guesses[0]) / n0 if n0 else math.nan
-    p1 = sum(guesses[1]) / n1 if n1 else math.nan
+    p0 = _rate(guesses[0], lambda g: g)
+    p1 = _rate(guesses[1], lambda g: g)
     var = 0.0
     if n0:
         var += p0 * (1 - p0) / n0

@@ -11,9 +11,10 @@ exclude wall-clock fields for exactly that reason.
 The ``pac``, ``sq`` and ``validsig`` runners draw each trial from its own
 stream, so their trials are shared across CPUs by forked children
 (``core._tally_shared``) and their rows and aggregates are the serial
-bytes.  ``correctness``, ``trace`` and ``games`` pass one stream through
-every trial, so their trials run one after another (a ``trace`` trial's
-bucket estimator still shares its buckets).
+bytes.  ``trace`` and ``games`` pass one stream through every trial, so
+their trials run one after another (a ``trace`` trial's bucket estimator
+still shares its buckets).  ``correctness`` draws every fuzz pair from its
+one stream first; the checkers then share the pairs' comparisons.
 
 Exit-code contract used by the CLI: 0 on success, 2 on config errors, 3
 when an experiment's gate thresholds fail (for CI gating).
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import _tally_shared, check_strong_correctness, check_weak_correctness
+from .core import _rate, _tally_shared, check_strong_correctness, check_weak_correctness
 from .encthresh import (
     DISTRIBUTION_FAMILIES,
     POINT_MASS_POINTS,
@@ -377,11 +378,6 @@ def _trial_rows(trial_row, items) -> list:
     items = list(items)
     rows = _tally_shared(lambda share: {item: trial_row(item) for item in share}, items)
     return [rows[item] for item in items]
-
-
-def _rate(rows: list, pred) -> float:
-    """Share of rows satisfying pred; nan when there are no rows."""
-    return sum(pred(r) for r in rows) / len(rows) if rows else float("nan")
 
 
 def _run_correctness(config: ExperimentConfig):

@@ -2,9 +2,9 @@
 
 ``tag_many``/``enc_many``, ``comp_many``/``evaluate_many``, the per-bucket
 batches of ``estimate_bucket_probs``, and the forked children that
-``core._tally_shared`` shares the estimator's buckets and the trial
-runners' trials with, are optimisations only: every property here compares
-a batch with the per-item loop it replaces.
+``core._tally_shared`` shares the estimator's buckets, the trial runners'
+trials and the correctness checkers' pairs with, are optimisations only:
+every property here compares a batch with the per-item loop it replaces.
 """
 
 import contextlib
@@ -21,7 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orelearn import core, harness, reident, strengthen
-from orelearn.core import BOT, Ordering3, encode_blob, mutate_ciphertext
+from orelearn.core import (
+    BOT,
+    Ordering3,
+    check_strong_correctness,
+    check_weak_correctness,
+    encode_blob,
+    mutate_ciphertext,
+)
 from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
 from orelearn.opf import TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
 from orelearn.reident import estimate_bucket_probs, gen_ex
@@ -307,6 +314,11 @@ def _processes(workers: int):
         yield forks
 
 
+def _forks(workers: int, items: int) -> int:
+    """How many children ``_tally_shared`` makes for ``items`` items."""
+    return max(1, min(workers, items)) - 1
+
+
 @contextlib.contextmanager
 def _estimator_processes(workers: int, fork_min_draws: int = 0):
     """``_processes`` with the estimator's draw floor set to ``fork_min_draws``."""
@@ -469,7 +481,7 @@ def test_trial_runners_give_the_serial_report_on_every_process_count(runner, tri
     for workers in (1, 2, 3):
         with _processes(workers) as forks:
             reports.append(_report_bytes(config))
-        assert len(forks) == max(1, min(workers, items)) - 1
+        assert len(forks) == _forks(workers, items)
     assert reports[1] == reports[0] and reports[2] == reports[0]
     if trials == 0:  # a rate over no trials, and no gate
         assert reports[0][2] is None
@@ -494,5 +506,123 @@ def test_a_failing_trial_raises_in_the_caller_and_leaves_no_child(monkeypatch):
     with _processes(2) as forks, pytest.raises(_TrialError, match="trial 1"):
         harness.run(config)
     assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# -- the correctness checkers ---------------------------------------------------------
+
+
+class _InvertedComp(OpfOre):
+    """Flips every strict comparison and refuses (BOT) every equal or
+    malformed one, so every honest pair fails the weak check."""
+
+    def comp(self, params, c0, c1):
+        got = super().comp(params, c0, c1)
+        return BOT if got in (BOT, Ordering3.EQ) else got.flipped()
+
+
+_CHECKED = {  # kind -> scheme; "opf" also gets the spliced witness pair
+    "escrow": _scheme("escrow", 8),
+    "signature": _scheme("signature", 8),
+    "opf": _scheme("opf", 8),
+    "inverted": _InvertedComp(ell=8),
+}
+
+
+def _spliced_witness(scheme, key):
+    """The ``correctness`` runner's witness: a tag of hi over a payload of lo,
+    against an honest encryption between them."""
+    lo = scheme.domain_size // 8
+    hi = scheme.domain_size - 1 - lo
+    forged = forge_spliced_ciphertext(scheme, key.sk, tag_of=hi, payload_of=lo)
+    return forged, scheme.enc(key.sk, (lo + hi) // 2)
+
+
+def _sweeps(kind: str, pairs: int, workers: int):
+    """Both checkers' reports over ``pairs`` pairs (the strong one plus the
+    witness for opf) with ``workers`` processes, and a draw from where the
+    strong sampler left its rng."""
+    scheme = _CHECKED[kind]
+    key = _fresh_key(scheme, bytes(range(32)))
+    extra = [_spliced_witness(scheme, key)] if kind == "opf" else []
+    rng = np.random.default_rng(pairs)
+    with _processes(workers) as forks:
+        weak = check_weak_correctness(scheme, [(i % 5, 3 * i % 7) for i in range(pairs)], key)
+        strong = check_strong_correctness(scheme, key, pairs, rng, extra_pairs=extra)
+    assert len(forks) == _forks(workers, pairs) + _forks(workers, pairs + len(extra))
+    return weak, strong, rng.integers(0, 2**63)
+
+
+def _report(report: core.CheckReport):
+    return report.checked, report.failures, list(report.counts_by_class.items())
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 2, 40])
+@pytest.mark.parametrize("kind", sorted(_CHECKED))
+def test_correctness_checkers_give_the_serial_report_on_every_process_count(kind, pairs):
+    weak, strong, left = _sweeps(kind, pairs, 1)
+    assert weak.checked == pairs and strong.checked == pairs + (kind == "opf")
+    if kind in ("escrow", "signature"):
+        assert weak.passed and strong.passed
+    if kind == "opf":
+        assert strong.failures[0]["class"] == "witness"
+    if kind == "inverted":
+        assert len(weak.failures) == pairs
+        if pairs > 2:  # both kinds of refusal reach the report
+            assert {type(f["got"]) for f in weak.failures} == {core.Bot, Ordering3}
+    for workers in (2, 3):
+        shared_weak, shared_strong, shared_left = _sweeps(kind, pairs, workers)
+        assert _report(shared_weak) == _report(weak)
+        assert _report(shared_strong) == _report(strong)
+        assert shared_left == left
+        # BOT and the Ordering3 members keep their identity through a child's pickle
+        for got, want in zip(shared_weak.failures, weak.failures):
+            assert got["got"] is want["got"] and got["want"] is want["want"]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _CompError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("check", ["weak", "strong"])
+def test_a_failing_comparison_in_a_child_raises_in_the_caller(check, monkeypatch):
+    scheme = OpfOre(ell=8)
+    key = _fresh_key(scheme, bytes(32))
+    comp, caller = scheme.comp, os.getpid()
+
+    def comp_in_caller(*args):
+        if os.getpid() != caller:
+            raise _CompError("comp in a child")
+        return comp(*args)
+
+    monkeypatch.setattr(scheme, "comp", comp_in_caller)
+    with _processes(2) as forks, pytest.raises(_CompError, match="in a child"):
+        if check == "weak":
+            check_weak_correctness(scheme, [(1, 2), (3, 4)], key)
+        else:
+            check_strong_correctness(scheme, key, 2, np.random.default_rng(0))
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 5])
+@pytest.mark.parametrize("scheme", ["escrow", "signature", "opf"])
+def test_correctness_runner_gives_the_serial_report_on_every_process_count(scheme, trials):
+    raw = {"experiment": "correctness", "ell": 16, "trials": trials, "seed": 5}
+    raw.update({"scheme": "opf"} if scheme == "opf" else {"certifier": scheme})
+    config = harness.ExperimentConfig.from_dict(raw)
+    reports = []
+    for workers in (1, 2, 3):
+        with _processes(workers) as forks:
+            reports.append(_report_bytes(config))
+        # the weak sweep's pairs, then the strong sweep's, with the opf witness
+        assert len(forks) == _forks(workers, trials) + _forks(workers, trials + (scheme == "opf"))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    if trials == 0:
+        assert reports[0][2] is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
