@@ -185,8 +185,8 @@ class OreScheme:
         return [self.comp(params, c0, c1) for c0 in cts]
 
     def params_len(self) -> int:
-        """Byte length of ``params.data``, fixed for a given ell."""
-        raise NotImplementedError
+        """Byte length of ``params.data``, read off the key of all-zero coins."""
+        return len(self.gen_from_coins(bytes(self.coin_len)).params.data)
 
     def _check_message(self, m: int):
         if not (0 <= m < self.domain_size):
@@ -421,21 +421,21 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _tally_shared(tally, items: list, serial: bool = False) -> dict:
+def _tally_shared(tally, items: list) -> dict:
     """``tally(share)`` for P round-robin shares of ``items``, merged.
 
-    P is the smaller of ``_cpus()`` and ``len(items)``, and 1 when
-    ``serial`` is set or another Python thread is alive (it could hold a
-    lock a child needs; native threads such as numpy's BLAS pool do not
-    count).  The first share, ``items[0::P]``, runs here and each later one
-    in a child made with ``os.fork``, which pickles its dict down a pipe.
-    No items means one empty share here.  A child that raised has its
+    P is the smaller of ``_cpus()`` and ``len(items)``, and 1 while another
+    Python thread is alive (it could hold a lock a child needs; native
+    threads such as numpy's BLAS pool do not count); no floor on the work.
+    The first share, ``items[0::P]``, runs here and each later one in a
+    child made with ``os.fork``, which pickles its dict down a pipe.  No
+    items means one empty share here.  A child that raised has its
     exception re-raised here; if anything here raises first, the children
     still running are killed.  Either way every child is reaped before this
     returns or raises.
     """
     workers = max(1, min(_cpus(), len(items)))
-    if serial or threading.active_count() > 1:
+    if threading.active_count() > 1:
         workers = 1
     shares = [items[j::workers] for j in range(workers)]
     children = []  # (pid, read end of its report pipe), not yet reaped

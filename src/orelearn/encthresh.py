@@ -129,14 +129,10 @@ class ComparatorHypothesis:
         self.anchor = anchor
 
     def evaluate(self, example: Example) -> int:
-        if example.params != self.params:
-            return 0
-        r = self.scheme.comp(self.params, example.ct, self.anchor)
-        return 1 if (r is Ordering3.LT or r is Ordering3.EQ) else 0
+        return self.evaluate_many([example])[0]
 
     def evaluate_many(self, examples: Sequence[Example]) -> list[int]:
-        """``[self.evaluate(x) for x in examples]``, comparing the examples
-        under these params against the anchor in one ``comp_many`` batch."""
+        """Each example's verdict, from one ``comp_many`` batch against the anchor."""
         own = [x.params == self.params for x in examples]
         verdicts = iter(
             self.scheme.comp_many(

@@ -41,7 +41,6 @@ from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 __all__ = [
     "ChallengePair",
     "SingleChallenge",
-    "GameTranscript",
     "GameReport",
     "run_static_game",
     "run_single_challenge_game",
@@ -109,22 +108,13 @@ class SingleChallenge:
 
 
 @dataclass
-class GameTranscript:
-    trial: int
-    bit: int
-    guess: int
-    win: bool
-    flags: dict = field(default_factory=dict)
-
-
-@dataclass
 class GameReport:
     p_guess1_given_b0: float
     p_guess1_given_b1: float
     advantage: float
     ci_halfwidth: float
     flag_counts: dict = field(default_factory=dict)
-    transcripts: "list[GameTranscript] | None" = None
+    transcripts: "list[dict] | None" = None  # trial, bit, guess, win, then the flags
 
     @property
     def ci_lo(self) -> float:
@@ -152,14 +142,12 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
         key = scheme.gen(rng)
         guess = int(adversary.guess(key.params, *encrypt(key.sk, challenge, bit), rng))
         guesses[bit].append(guess)
-        flags = dict(getattr(adversary, "transcript_flags", {}) or {})
+        flags = getattr(adversary, "transcript_flags", None) or {}
         for k, v in flags.items():
             if v:
                 flag_counts[k] = flag_counts.get(k, 0) + 1
         if keep_transcripts:
-            transcripts.append(
-                GameTranscript(trial, bit, guess, guess == bit, flags)
-            )
+            transcripts.append(dict(trial=trial, bit=bit, guess=guess, win=guess == bit, **flags))
     n0, n1 = len(guesses[0]), len(guesses[1])
     # a bit that was never drawn has no rate, so neither has the advantage
     p0 = _rate(guesses[0], lambda g: g)

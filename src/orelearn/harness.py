@@ -559,12 +559,7 @@ def _run_games(config: ExperimentConfig):
         "p1": report.p_guess1_given_b1,
         **{f"flag_{k}": v for k, v in report.flag_counts.items()},
     }
-    extra = {}
-    if config.transcripts and report.transcripts is not None:
-        extra["transcripts"] = [
-            {"trial": t.trial, "bit": t.bit, "guess": t.guess, "win": t.win, **t.flags}
-            for t in report.transcripts
-        ]
+    extra = {"transcripts": report.transcripts} if config.transcripts else {}
     # the leak control must win; the others must show no advantage beyond noise,
     # the reduction too, since its honest learner breaks no tracing soundness
     if config.mode == "leak":

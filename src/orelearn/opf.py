@@ -119,9 +119,6 @@ class OpfOre(OreScheme):
         """The secret key whose master key bytes are ``key``, at this scheme's ell."""
         return OpfSecretKey(key, self.ell)
 
-    def params_len(self) -> int:
-        return 16
-
     # -- order tag ----------------------------------------------------------
 
     def tag(self, sk: OpfSecretKey, m: int) -> int:

@@ -54,10 +54,6 @@ __all__ = [
 # ciphertexts and examples held at once when K is in the millions
 ESTIMATE_BATCH = 4096
 
-# fewer draws in all than this and the estimator stays in one process; its
-# docstring says how the floor was sized
-FORK_MIN_DRAWS = 1000
-
 
 @dataclass
 class ReidentState:
@@ -188,13 +184,7 @@ def estimate_bucket_probs(
     one per further CPU.  Every process replays every bucket's draws, in
     order, on its own copy of ``rng`` and scores only its own buckets, so
     the estimates, the degraded flag and where ``rng`` is left are the same
-    bytes as the serial loop's for every process count.  Besides where the
-    helper itself stays serial, the loop stays serial below
-    ``FORK_MIN_DRAWS`` (1000) draws in all.  That floor is sized from the
-    fork round trip (fork, pickled report, reap): a median of about 5 ms
-    (4-10 ms) on a shared 2-CPU Xeon under Python 3.11, where one draw costs
-    20-100 us to encrypt and score.  At 1000 draws a second process saves
-    10-50 ms against those 5.
+    bytes as the serial loop's for every process count.
 
     So ``hypothesis.evaluate``/``evaluate_many`` must depend only on the
     example: memos and any other state the hypothesis builds while scoring a
@@ -228,7 +218,7 @@ def estimate_bucket_probs(
             hits[i] = acc
         return hits
 
-    hits = _tally_shared(tally, live, serial=k * len(live) < FORK_MIN_DRAWS)
+    hits = _tally_shared(tally, live)
     p_hat = np.zeros(n + 1)
     for i in range(n + 1):
         if i in hits:

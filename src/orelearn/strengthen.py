@@ -10,11 +10,12 @@ the range of the deterministic base encryption, where weak correctness
 already makes comparison agree with decryption — which is exactly strong
 correctness.
 
-Certifiers take the statement as its parsed fields (params' bytes, sigma,
-c'): ``certify(base_params, sigma, base_ct)`` and ``verify(base_params,
-sigma, base_ct, cert)``.  Verdicts are memoized on each verify key by that
-field tuple plus the certificate, with at most ``VERDICT_MEMO_MAX + 1``
-entries per key.  Two interchangeable certifier back-ends are shipped:
+A certifier's ``setup`` returns the proving key, a function
+``certify(base_params, sigma, base_ct)``, and a verify key with
+``verify(base_params, sigma, base_ct, cert)``: both take the statement's
+parsed fields (params' bytes, sigma, c').  Verdicts are memoized on each
+verify key by that field tuple plus the certificate, with at most
+``VERDICT_MEMO_MAX + 1`` entries per key.  Two certifiers are shipped:
 
 * ``SignatureCertifier`` — publicly verifiable: the certificate is an
   Ed25519 signature over the statement encoding of the fields, signed with
@@ -125,17 +126,11 @@ class SignatureCertifier:
             hashlib.blake2b(seed, key=b"cert-sign-seed", digest_size=32).digest()
         )
         vk = sk.public_key().public_bytes_raw()
-        return _SignatureProvingKey(sk), _SignatureVerifyKey(vk)
 
+        def certify(base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
+            return sk.sign(statement_bytes(base_params, sigma, base_ct))
 
-class _SignatureProvingKey:
-    __slots__ = ("sk",)
-
-    def __init__(self, sk: Ed25519PrivateKey):
-        self.sk = sk
-
-    def certify(self, base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
-        return self.sk.sign(statement_bytes(base_params, sigma, base_ct))
+        return certify, _SignatureVerifyKey(vk)
 
 
 class _SignatureVerifyKey:
@@ -172,14 +167,11 @@ class EscrowCertifier:
     name = "escrow"
 
     def setup(self, base: OreScheme, base_sk, seed: bytes):
-        return _EscrowProvingKey(), _EscrowVerifyKey(base, base_sk)
+        return _empty_certificate, _EscrowVerifyKey(base, base_sk)
 
 
-class _EscrowProvingKey:
-    __slots__ = ()
-
-    def certify(self, base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
-        return b""
+def _empty_certificate(base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
+    return b""
 
 
 class _EscrowVerifyKey:
@@ -221,7 +213,7 @@ class StrongSecretKey:
     base_params: PublicParams
     sigma: bytes
     commit_rand: bytes
-    proving_key: object
+    certify: object
     cert_vk: object
 
 
@@ -251,11 +243,11 @@ class StrengthenedOre(OreScheme):
         base_key = self.base.gen_from_coins(sub(b"strong-base-coins"))
         commit_rand = sub(b"strong-commit-rand")
         sigma = commit(base_key.sk.key, commit_rand)
-        proving_key, cert_vk = self.certifier.setup(
+        certify, cert_vk = self.certifier.setup(
             self.base, base_key.sk, sub(b"strong-cert-seed")
         )
         sk = StrongSecretKey(
-            base_key.sk, base_key.params, sigma, commit_rand, proving_key, cert_vk
+            base_key.sk, base_key.params, sigma, commit_rand, certify, cert_vk
         )
         params = StrongParams(
             data=encode_blob(base_key.params.data, sigma, cert_vk.serialize()),
@@ -265,10 +257,6 @@ class StrengthenedOre(OreScheme):
             cert_vk=cert_vk,
         )
         return KeyMaterial(sk=sk, params=params, coins=coins)
-
-    def params_len(self) -> int:
-        vk_len = {"signature": 4 + 32, "escrow": 7 + 32}[self.certifier.name]
-        return 12 + self.base.params_len() + _COMMIT_LEN + vk_len
 
     # -- enc / dec / comp ---------------------------------------------------
 
@@ -280,7 +268,7 @@ class StrengthenedOre(OreScheme):
 
     def _certified(self, sk: StrongSecretKey, base_ct: bytes) -> bytes:
         """Wrap a base ciphertext with its well-formedness certificate."""
-        cert = sk.proving_key.certify(sk.base_params.data, sk.sigma, base_ct)
+        cert = sk.certify(sk.base_params.data, sk.sigma, base_ct)
         return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
 
     def parse(self, ct: bytes):

@@ -319,13 +319,6 @@ def _forks(workers: int, items: int) -> int:
     return max(1, min(workers, items)) - 1
 
 
-@contextlib.contextmanager
-def _estimator_processes(workers: int, fork_min_draws: int = 0):
-    """``_processes`` with the estimator's draw floor set to ``fork_min_draws``."""
-    with _processes(workers) as forks, mock.patch.object(reident, "FORK_MIN_DRAWS", fork_min_draws):
-        yield forks
-
-
 @pytest.mark.filterwarnings("ignore:n.2")
 @pytest.mark.parametrize(
     "kind, ell",
@@ -345,7 +338,7 @@ def test_estimator_batches_match_the_per_item_fallback(kind, ell, seed, n, k_cap
 
     def run(estimator, workers=1):
         with mock.patch.object(reident, "ESTIMATE_BATCH", batch):
-            with _estimator_processes(workers) as forks:
+            with _processes(workers) as forks:
                 rng = np.random.default_rng(seed)
                 state, sample = gen_ex(scheme, n, rng)
                 est = estimator(state, pac_learn(scheme, sample), rng)
@@ -411,18 +404,37 @@ def test_a_failing_bucket_raises_in_the_caller_and_leaves_no_child(bucket, failu
     scheme = _scheme("escrow", 16)
     state, _ = gen_ex(scheme, 6, rng)
     hypothesis = _FailsInBucket(state, bucket, failure)
-    with _estimator_processes(2) as forks, pytest.raises(raised, match=match):
+    with _processes(2) as forks, pytest.raises(raised, match=match):
         estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=40)
     assert forks == [1]
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_estimator_shares_a_few_draws(rng):
+    # 4 buckets of 5 draws: 20 draws in all are shared with a second process
+    scheme = _scheme("escrow", 16)
+    state, sample = gen_ex(scheme, 3, rng)
+    hypothesis = pac_learn(scheme, sample)
+    seed = int(rng.integers(0, 2**63))
+    assert _live_buckets(state) >= 2
+
+    def estimate(workers):
+        stream = np.random.default_rng(seed)
+        with _processes(workers) as forks:
+            est = estimate_bucket_probs(state, hypothesis, 0.45, 0.01, stream, k_cap=5)[0]
+        return forks, est.tolist(), stream.integers(0, 2**63)
+
+    serial, shared = estimate(1), estimate(2)
+    assert serial[0] == [] and shared[0] == [1]
+    assert shared[1:] == serial[1:]
+
+
 def _forbidden_fork():
     raise AssertionError("the estimator forked")
 
 
-@pytest.mark.parametrize("reason", ["thread", "floor", "one cpu"])
+@pytest.mark.parametrize("reason", ["thread", "one cpu"])
 def test_estimator_stays_serial(reason, rng):
     scheme = _scheme("escrow", 16)
     state, sample = gen_ex(scheme, 6, rng)
@@ -440,8 +452,7 @@ def test_estimator_stays_serial(reason, rng):
     if reason == "thread":
         thread.start()
     try:
-        floor = 7 * 40 + 1 if reason == "floor" else 0  # one more than the 7 buckets' draws
-        with _estimator_processes(1 if reason == "one cpu" else 2, floor):
+        with _processes(1 if reason == "one cpu" else 2):
             with mock.patch.object(os, "fork", _forbidden_fork):
                 assert estimate() == expected
     finally:

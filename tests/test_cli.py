@@ -200,3 +200,18 @@ def test_reduction_gate_passes_the_honest_learner(flags, capsys):
     # on it must show no advantage beyond noise, as random and payload do
     assert main(["games", "--mode", "reduction"] + flags) == 0
     assert "advantage = 0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "mode, flags", [("random", set()), ("reduction", {"degenerate", "not_well_spaced"})]
+)
+def test_games_transcripts_in_the_json_report(mode, flags, tmp_path):
+    out = tmp_path / "reports"
+    argv = ["games", "--mode", mode, "--ell", "16", "--n", "4", "--trials", "30", "--seed", "5"]
+    assert main(argv + ["--transcripts", "--out", str(out), "--format", "json"]) == 0
+    (report,) = out.iterdir()
+    transcripts = json.loads(report.read_text())["transcripts"]
+    assert [t["trial"] for t in transcripts] == list(range(30))
+    for t in transcripts:
+        assert set(t) == {"trial", "bit", "guess", "win"} | flags
+        assert t["win"] == (t["guess"] == t["bit"])

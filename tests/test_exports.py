@@ -1,12 +1,18 @@
-"""Every public name a module exports still exists."""
+"""Every public name a module exports, or the benchmark's tracer patches,
+still exists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import orelearn
 
+_ROOT = Path(__file__).resolve().parent.parent
 _MODULES = ["orelearn"] + [f"orelearn.{m.name}" for m in pkgutil.iter_modules(orelearn.__path__)]
 
 
@@ -16,3 +22,16 @@ def test_all_names_resolve_and_star_import_succeeds(name):
     stale = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert stale == [], f"{name}.__all__ names missing attributes: {stale}"
     exec(f"from {name} import *", {})
+
+
+def test_benchmark_tracer_installs():
+    # the tracer looks up every traced layer by name, so a renamed or deleted
+    # one breaks ``perfbench/run.py --trace 1``, which this suite does not run
+    path = os.pathsep.join(str(_ROOT / d) for d in ("src", "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -342,7 +342,7 @@ def test_game_runner_reproducible_and_scheme_unmutated():
         )
 
     a, b = run_once(), run_once()
-    assert [(t.bit, t.guess) for t in a.transcripts] == [
-        (t.bit, t.guess) for t in b.transcripts
+    assert [(t["bit"], t["guess"]) for t in a.transcripts] == [
+        (t["bit"], t["guess"]) for t in b.transcripts
     ]
     assert a.advantage == b.advantage

@@ -195,10 +195,14 @@ def test_params_are_deterministic_in_coins():
 
 
 def test_params_len_matches_declaration(rng):
-    for make in (_escrow_scheme, _sig_scheme):
-        scheme = make(ell=16)
-        key = scheme.gen(rng)
-        assert len(key.params.data) == scheme.params_len()
+    # every scheme the library builds; coin_len 2 is the sq runner's tiny keyspace
+    for ell in (1, 16, 64):
+        for coin_len in (2, 32):
+            base = OpfOre(ell=ell, coin_len=coin_len)
+            strong = [StrengthenedOre(base, c()) for c in (EscrowCertifier, SignatureCertifier)]
+            for scheme in (base, *strong):
+                for _ in range(4):
+                    assert len(scheme.gen(rng).params.data) == scheme.params_len()
 
 
 def test_ciphertext_layout_is_length_prefixed(rng):
