@@ -189,6 +189,8 @@ class OreScheme:
         return len(self.gen_from_coins(bytes(self.coin_len)).params.data)
 
     def _check_message(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError(f"message must be an int, got {type(m).__name__}")
         if not (0 <= m < self.domain_size):
             raise ValueError(f"message {m} outside domain [0, 2**{self.ell})")
 

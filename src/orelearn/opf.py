@@ -9,14 +9,16 @@ spliced (tag, payload) pair compares by its tag even though decryption
 rejects it.  That deliberate gap is the motivating counterexample for the
 strengthening transformation in :mod:`orelearn.strengthen`.
 
-Tag construction (binary descent): maintain a domain interval [dlo, dhi)
-and a tag interval [tlo, thi).  At each of ell levels, split the domain at
-its midpoint and split the tag interval at a pseudorandom point in its
-middle half, keyed by the descent path; recurse into the half containing
-the message and return tlo at the leaf.  With a 3*ell-bit tag space and
-splits confined to the middle half, every child interval keeps at least a
-quarter of its parent, so all 2**ell leaf intervals are nonempty and the
-tag is strictly monotone.
+Tag construction (binary descent): the tag interval starts as
+[0, 2**(3*ell)), held as its low end tlo and width w.  At depth
+d = 0, ..., ell - 1 the message m sits at the node (d, m >> (ell - d)), whose
+keyed value is f = ``OpfSecretKey.split_fraction(d, m >> (ell - d))``.  With
+q = w // 4 and left = q + f % (w - 2*q), the left child is [tlo, tlo + left)
+and the right child [tlo + left, tlo + w); bit ell - 1 - d of m picks the
+child, and the tag is tlo at the leaf.  Each split lies in the middle half
+of its interval, so every child keeps at least a quarter of its parent:
+2**(3*ell) / 4**ell = 2**ell, all 2**ell leaf intervals are nonempty and
+the tag is strictly monotone.
 
 Ciphertext body layout (bit exact)::
 
@@ -74,7 +76,11 @@ class OpfSecretKey:
         return hash((self.key, self.ell))
 
     def split_fraction(self, depth: int, prefix: int) -> int:
-        """Pseudorandom 128-bit value for the descent node (depth, prefix)."""
+        """Pseudorandom 128-bit value of the descent node (depth, prefix).
+
+        The reference definition of a node's value: ``OpfOre.tag_many``
+        hashes the same bytes inline and does not call this method.
+        """
         h = self._h_tag.copy()
         h.update(((depth << 64) | prefix).to_bytes(9, "big"))  # depth byte, 8-byte prefix
         return int.from_bytes(h.digest(), "big")
@@ -122,80 +128,63 @@ class OpfOre(OreScheme):
     # -- order tag ----------------------------------------------------------
 
     def tag(self, sk: OpfSecretKey, m: int) -> int:
-        """Strictly monotone pseudorandom order tag of m under sk."""
+        """Strictly monotone pseudorandom order tag of m under sk: the tag
+        memo's entry for m, else ``self.tag_many(sk, [m])[0]``."""
         self._check_message(m)
         cached = sk._tags.get(m)
         if cached is not None:
             return cached
-        t = self._descend(sk.split_fraction, m, 0, self.ell, 0, 1 << self.tag_bits)
-        return self._remember(sk, m, t)
+        return self.tag_many(sk, [m])[0]
 
     def tag_many(self, sk: OpfSecretKey, ms) -> list[int]:
-        """Order tags of the sequence ms; equal to ``[self.tag(sk, m) for m in ms]``.
+        """Order tags of the messages ms; equal to ``[self.tag(sk, m) for m in ms]``.
 
-        The distinct unmemoized messages, sorted, walk down one shared
-        descent: each (depth, prefix) node on their paths is hashed once per
-        batch, and a message alone in its subtree finishes its path in the
-        plain per-message loop.  Tags go into the tag memo, so a later
-        ``tag`` or ``dec`` of the same message hits it.
+        The one descent kernel.  The distinct unmemoized messages, sorted,
+        walk down in groups that share a node, each led by its smallest
+        message.  Where the leader turns left and others turn right, the
+        group splits once and its right part waits on the stack, so each
+        (depth, prefix) node on the messages' paths is hashed once per
+        batch, inline, to the value ``sk.split_fraction`` defines.  Tags go
+        into the tag memo, so a later ``tag`` or ``dec`` of the same message
+        hits it.
         """
+        ms = list(ms)
         for m in ms:
             self._check_message(m)
-        tags = sk._tags
+        tags, ell, copy, from_bytes = sk._tags, self.ell, sk._h_tag.copy, int.from_bytes
         found = {m: tags[m] for m in ms if m in tags}
         todo = sorted(set(ms).difference(found))
-        fraction, descend, ell = sk.split_fraction, self._descend, self.ell
-        # todo[lo:hi] all pass through the node at depth with tag interval [tlo, thi)
+        # todo[lo:hi] share the node at depth d, whose tag interval is [tlo, tlo + w)
         stack = [(0, len(todo), 0, 0, 1 << self.tag_bits)] if todo else []
         while stack:
-            lo, hi, depth, tlo, thi = stack.pop()
-            if hi - lo == 1:
-                m = todo[lo]
-                found[m] = self._remember(sk, m, descend(fraction, m, depth, ell, tlo, thi))
-                continue
-            # two distinct messages share this node, so depth < ell; the
-            # smallest message of the domain that turns right here descends
-            # one level into the right child, whose tag interval starts at
-            # the split point
-            right = ((todo[lo] >> (ell - 1 - depth)) | 1) << (ell - 1 - depth)
-            split = descend(fraction, right, depth, depth + 1, tlo, thi)
-            mid = bisect_left(todo, right, lo, hi)
-            if mid < hi:
-                stack.append((mid, hi, depth + 1, split, thi))
-            if mid > lo:
-                stack.append((lo, mid, depth + 1, tlo, split))
+            lo, hi, d, tlo, w = stack.pop()
+            m = todo[lo]
+            prefix = m >> (ell - d)
+            while d < ell:
+                q = w >> 2
+                if q < 1:
+                    raise RuntimeError("tag interval degenerated")
+                h = copy()
+                h.update(((d << 64) | prefix).to_bytes(9, "big"))
+                left = q + from_bytes(h.digest(), "big") % (w - 2 * q)
+                d += 1
+                prefix = m >> (ell - d)
+                if prefix & 1:
+                    tlo += left
+                    w -= left
+                    continue
+                if hi - lo > 1:
+                    # m turns left; the group's messages from the right
+                    # child's first message on turn right
+                    mid = bisect_left(todo, (prefix | 1) << (ell - d), lo + 1, hi)
+                    if mid < hi:
+                        stack.append((mid, hi, d, tlo + left, w - left))
+                    hi = mid
+                w = left
+            if len(tags) > TAG_MEMO_MAX:
+                tags.clear()
+            tags[m] = found[m] = tlo
         return [found[m] for m in ms]
-
-    @staticmethod
-    def _remember(sk: OpfSecretKey, m: int, t: int) -> int:
-        """Store t as m's tag in the bounded tag memo; return t."""
-        if len(sk._tags) > TAG_MEMO_MAX:
-            sk._tags.clear()
-        sk._tags[m] = t
-        return t
-
-    def _descend(self, fraction, m: int, depth: int, stop: int, tlo: int, thi: int) -> int:
-        """Walk m from the node at depth, with tag interval [tlo, thi), down
-        to depth stop; return the low end of the tag interval reached.
-
-        ``fraction(depth, prefix)`` gives the node's pseudorandom value.  The
-        split point is confined to the middle half of the interval, which
-        keeps both children at least a quarter of the parent:
-        2**(3*ell) / 4**ell = 2**ell leaf intervals survive, so strict
-        monotonicity is unconditional.
-        """
-        ell = self.ell
-        for d in range(depth, stop):
-            width = thi - tlo
-            quarter = width >> 2
-            if quarter < 1:
-                raise RuntimeError("tag interval degenerated")
-            split = tlo + quarter + fraction(d, m >> (ell - d)) % (width - 2 * quarter)
-            if (m >> (ell - 1 - d)) & 1:
-                tlo = split
-            else:
-                thi = split
-        return tlo
 
     # -- enc / dec / comp ---------------------------------------------------
 
@@ -203,6 +192,7 @@ class OpfOre(OreScheme):
         return self._seal(sk, self.tag(sk, m), m)
 
     def enc_many(self, sk: OpfSecretKey, ms) -> list[bytes]:
+        ms = list(ms)
         return [self._seal(sk, t, m) for t, m in zip(self.tag_many(sk, ms), ms)]
 
     def _seal(self, sk: OpfSecretKey, t: int, payload: int) -> bytes:

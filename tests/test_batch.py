@@ -76,7 +76,33 @@ def test_opf_tag_many_equals_per_item_tag(batch, coins):
     for m in ms[:memoized]:
         scheme.tag(batch_sk, m)
     item_sk = _fresh_key(scheme, coins).sk
-    assert scheme.tag_many(batch_sk, ms) == [scheme.tag(item_sk, m) for m in ms]
+    expected = [scheme.tag(item_sk, m) for m in ms]
+    assert scheme.tag_many(batch_sk, ms) == expected
+    assert scheme.tag_many(_fresh_key(scheme, coins).sk, iter(ms)) == expected
+
+
+def _reference_tag(sk, ell: int, m: int) -> int:
+    """The descent as the ``opf`` module docstring states it."""
+    tlo, w = 0, 1 << (3 * ell)
+    for d in range(ell):
+        q = w // 4
+        left = q + sk.split_fraction(d, m >> (ell - d)) % (w - 2 * q)
+        if (m >> (ell - 1 - d)) & 1:
+            tlo, w = tlo + left, w - left
+        else:
+            w = left
+    return tlo
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches(), _COINS)
+def test_opf_tag_many_equals_the_reference_descent(batch, coins):
+    ell, ms, memoized = batch
+    scheme = _scheme("opf", ell)
+    sk = _fresh_key(scheme, coins).sk
+    for m in ms[:memoized]:
+        scheme.tag(sk, m)
+    assert scheme.tag_many(sk, ms) == [_reference_tag(sk, ell, m) for m in ms]
 
 
 @pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
@@ -86,7 +112,9 @@ def test_enc_many_equals_per_item_enc(kind, batch, coins):
     ell, ms, _ = batch
     scheme = _scheme(kind, ell)
     batch_key, item_key = _fresh_key(scheme, coins), _fresh_key(scheme, coins)
-    assert scheme.enc_many(batch_key.sk, ms) == [scheme.enc(item_key.sk, m) for m in ms]
+    expected = [scheme.enc(item_key.sk, m) for m in ms]
+    assert scheme.enc_many(batch_key.sk, ms) == expected
+    assert scheme.enc_many(_fresh_key(scheme, coins).sk, iter(ms)) == expected
 
 
 def test_tag_many_keeps_the_tag_memo_bounded():

@@ -1,5 +1,6 @@
 """The weakly correct base scheme: tag monotonicity and its designed failure."""
 
+import numpy as np
 import pytest
 
 from orelearn.core import (
@@ -57,6 +58,63 @@ def test_tag_in_declared_range(rng):
     key = scheme.gen(rng)
     for m in range(64):
         assert 0 <= scheme.tag(key.sk, m) < 2 ** (3 * 6)
+
+
+# Order tags under the coins bytes(range(32)) at messages 0, 1, N/2 and
+# N - 1, pinned so that any change to the tag bytes fails here as well as in
+# the report digests.
+_KNOWN_TAGS = {
+    1: {0: 0x0, 1: 0x5},
+    3: {0: 0x0, 1: 0x22, 4: 0xDB, 7: 0x17E},
+    16: {0: 0x0, 1: 0x64FA166B, 1 << 15: 0x8162919CA45B, (1 << 16) - 1: 0xFFFF5A25A45F},
+    32: {
+        0: 0x0,
+        1: 0x3B5A2DF287E59B3F,
+        1 << 31: 0x4EAC3191EDBF4162919CA45B,
+        (1 << 32) - 1: 0xFFFFFFFFC5AD6EFAFF819EDD,
+    },
+    64: {
+        0: 0x0,
+        1: 0x188F45690141194BA634FDB0,
+        1 << 63: 0x4000000000000000A7B137CE0EAC3191EDBF4162919CA45B,
+        (1 << 64) - 1: 0xFFFFFFD4A92B5071E32FEB9A2F85AAF5270946B483678FE3,
+    },
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_KNOWN_TAGS))
+def test_known_answer_tags(ell):
+    scheme = OpfOre(ell=ell)
+    known = _KNOWN_TAGS[ell]
+    coins = bytes(range(32))
+    assert scheme.tag_many(scheme.gen_from_coins(coins).sk, list(known)) == list(known.values())
+    sk = scheme.gen_from_coins(coins).sk
+    assert [scheme.tag(sk, m) for m in known] == list(known.values())
+
+
+def test_a_tag_space_under_two_bits_per_level_degenerates():
+    scheme = OpfOre(ell=8)
+    # a child keeps under 3/4 of its parent plus one tag, so a 16-tag
+    # interval is under 4 tags wide, with no middle half, by depth 7
+    scheme.tag_bits = 4
+    sk = scheme.gen_from_coins(bytes(32)).sk
+    with pytest.raises(RuntimeError, match="degenerated"):
+        scheme.tag(sk, 200)
+    with pytest.raises(RuntimeError, match="degenerated"):
+        scheme.tag_many(sk, [0, 255])
+
+
+@pytest.mark.parametrize("m", [np.int64(3), 3.0, "3", None])
+def test_a_message_that_is_not_an_int_is_a_type_error(m):
+    scheme = OpfOre(ell=8)
+    sk = scheme.gen_from_coins(bytes(32)).sk
+    scheme.tag(sk, 3)  # a memo hit must not let an equal non-int through
+    calls = (scheme.tag, scheme.enc, lambda sk, m: scheme.tag_many(sk, [1, m]),
+             lambda sk, m: scheme.enc_many(sk, [m]))
+    for call in calls:
+        with pytest.raises(TypeError, match=type(m).__name__):
+            call(sk, m)
+    assert scheme.tag(sk, True) == scheme.tag(sk, 1)
 
 
 def test_roundtrip_full_domain_ell8(rng):
