@@ -386,7 +386,9 @@ class PointMassDistribution:
         self._cum = np.cumsum(self.weights)
 
     def sample(self, rng: np.random.Generator) -> Example:
-        return self.points[int(np.searchsorted(self._cum, rng.random()))]
+        # rounding can leave the last cumulative weight below a draw: the last point's
+        i = int(np.searchsorted(self._cum, rng.random()))
+        return self.points[min(i, len(self.points) - 1)]
 
     def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
         return sum(

@@ -213,6 +213,9 @@ class OpfOre(OreScheme):
         return tag_bytes, masked, auth
 
     def dec(self, sk: OpfSecretKey, ct: bytes):
+        """m if ct is exactly ``enc(sk, m)``, else BOT: the auth tag must hold,
+        m be in the domain and ``tag(sk, m)`` be ct's tag, which fixes the
+        mask too, so ``enc(sk, dec(sk, ct)) == ct`` whenever dec succeeds."""
         parsed = self._parse(ct)
         if parsed is None:
             return BOT

@@ -23,9 +23,10 @@ verify key by that field tuple plus the certificate, with at most
   computational (forging a certificate means forging a signature).
 * ``EscrowCertifier`` — simulation-only, perfectly sound: the certificate
   is empty and the verification key holds a sealed reference to the base
-  secret key, used solely to re-encrypt the decryption and compare bytes;
-  no statement is encoded.  Its serialized form leaks the base key bytes
-  to the harness; never deploy it.
+  secret key, used solely to decrypt the base ciphertext; no statement is
+  encoded.  Its serialized form leaks the base key bytes to the harness;
+  never deploy it.  It ignores the certificate field, so a strengthened
+  escrow ciphertext is unique only up to that field.
 
 Strengthened ciphertext layout (bit exact)::
 
@@ -158,10 +159,11 @@ class EscrowCertifier:
     """Test-only perfectly sound certifier.
 
     The certificate is empty; verification holds the base secret key in
-    escrow and accepts exactly when the embedded base ciphertext is the
-    deterministic re-encryption of its own decryption, i.e. lies in the
-    range of enc'(sk', .).  Perfectly complete and perfectly sound by
-    construction.
+    escrow and accepts exactly when the embedded base ciphertext decrypts.
+    That is membership in the range of enc'(sk', .) for a base scheme whose
+    ``dec`` returns m only on the bytes ``enc(sk, m)``, which this
+    certifier requires of the scheme it wraps (``OpfOre.dec`` holds it).
+    Perfectly complete and perfectly sound by construction.
     """
 
     name = "escrow"
@@ -189,10 +191,10 @@ class _EscrowVerifyKey:
         return b"escrow:" + self._base_sk.key
 
     def verify(self, base_params: bytes, sigma: bytes, base_ct: bytes, cert: bytes) -> bool:
-        m = self._base.dec(self._base_sk, base_ct)
-        if m is BOT:
-            return False
-        return self._base.enc(self._base_sk, m) == base_ct
+        """Whether base_ct is in the range of enc'(sk', .): the base ``dec``
+        returns m only when the auth tag holds, m is in the domain and
+        ``tag(m)`` is base_ct's tag, that is, only on the bytes ``enc'(sk', m)``."""
+        return self._base.dec(self._base_sk, base_ct) is not BOT
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 ``tag_many``/``enc_many``, ``comp_many``/``evaluate_many``, the per-bucket
 batches of ``estimate_bucket_probs``, and the forked children that
 ``core._tally_shared`` shares the estimator's buckets, the trial runners'
-trials and the correctness checkers' pairs with, are optimisations only:
-every property here compares a batch with the per-item loop it replaces.
+trials and the correctness checkers' pairs with, are optimisations only,
+as are the bounded tag and verdict memos: every property here compares a
+batch with the per-item loop it replaces, or a memoized key with a fresh
+one.
 """
 
 import contextlib
 import dataclasses
 import functools
 import gc
+import hashlib
 import os
 import threading
 import weakref
@@ -19,19 +22,29 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
-from orelearn import core, harness, reident, strengthen
+from orelearn import core, harness, opf, reident, strengthen
 from orelearn.core import (
     BOT,
+    MUTATION_CLASSES,
     Ordering3,
     check_strong_correctness,
     check_weak_correctness,
+    comp_ciph,
     encode_blob,
     mutate_ciphertext,
 )
-from orelearn.encthresh import ComparatorHypothesis, Example, pac_learn
+from orelearn.encthresh import ComparatorHypothesis, EncThreshConcept, Example, pac_learn
 from orelearn.opf import TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
-from orelearn.reident import estimate_bucket_probs, gen_ex
+from orelearn.reident import ReidentState, draw_buckets, estimate_bucket_probs, gen_ex
 from orelearn.strengthen import (
     STRONG_VERSION,
     EscrowCertifier,
@@ -665,3 +678,191 @@ def test_correctness_runner_gives_the_serial_report_on_every_process_count(schem
         assert reports[0][2] is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# -- strong correctness across memo clears ---------------------------------------
+
+_KEY_LABELS = [(name, i) for name in sorted(_CERTIFIERS) for i in range(2)]
+_SHIPPED_BOUNDS = (TAG_MEMO_MAX, strengthen.VERDICT_MEMO_MAX)
+
+
+@contextlib.contextmanager
+def _memo_bounds(tags: int, verdicts: int):
+    with mock.patch.object(opf, "TAG_MEMO_MAX", tags), mock.patch.object(
+        strengthen, "VERDICT_MEMO_MAX", verdicts
+    ):
+        yield
+
+
+class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
+    """Two keys under each certifier, with both memo bounds shrunk to 3.
+
+    All four keys share one pool of ciphertexts: honest encryptions under
+    each key, their mutations, spliced base ciphertexts under a zero, empty
+    or transplanted certificate, and so cross-key ciphertexts for every
+    key.  The long-lived keys' memos hit and are cleared every few calls;
+    each answer must equal the memo-free twin's, a fresh scheme and key
+    from the same coins asked once under the shipped bounds.  Comparison
+    must also agree with decrypt-then-compare on every pair it is asked.
+    """
+
+    cts = Bundle("cts")
+
+    def __init__(self):
+        super().__init__()
+        self._bounds = _memo_bounds(3, 3)
+        self._bounds.__enter__()
+
+    def teardown(self):
+        self._bounds.__exit__(None, None, None)
+
+    @initialize(target=cts, ell=st.integers(1, 10), seed=st.binary(max_size=8), m=st.integers(0, 2**10))
+    def build(self, ell, seed, m):
+        self.ell = ell
+        self.coins = [hashlib.blake2b(seed, key=bytes([i]), digest_size=32).digest() for i in range(2)]
+        self.schemes = {name: self._scheme(name) for name in _CERTIFIERS}
+        self.keys = {
+            (name, i): self.schemes[name].gen_from_coins(self.coins[i]) for name, i in _KEY_LABELS
+        }
+        # one honest ciphertext under each key to start the pool
+        return multiple(
+            *(self.schemes[name].enc(key.sk, self._message(m)) for (name, _), key in self.keys.items())
+        )
+
+    def _scheme(self, name):
+        return StrengthenedOre(OpfOre(ell=self.ell), _CERTIFIERS[name]())
+
+    def _twin(self, label, ask):
+        """``ask(scheme, key)`` on a fresh scheme and key, under the shipped bounds."""
+        with _memo_bounds(*_SHIPPED_BOUNDS):
+            scheme = self._scheme(label[0])
+            return ask(scheme, scheme.gen_from_coins(self.coins[label[1]]))
+
+    def _message(self, m: int) -> int:
+        return m % (1 << self.ell)
+
+    @rule(target=cts, label=st.sampled_from(_KEY_LABELS), m=st.integers(0, 2**10))
+    def enc(self, label, m):
+        m = self._message(m)
+        ct = self.schemes[label[0]].enc(self.keys[label].sk, m)
+        assert ct == self._twin(label, lambda s, k: s.enc(k.sk, m))
+        return ct
+
+    @rule(
+        target=cts,
+        label=st.sampled_from(_KEY_LABELS),
+        ms=st.lists(st.integers(0, 2**10), max_size=8),
+    )
+    def enc_many(self, label, ms):
+        ms = [self._message(m) for m in ms]
+        scheme, sk = self.schemes[label[0]], self.keys[label].sk
+        got = scheme.enc_many(sk, ms)
+        assert got == [scheme.enc(sk, m) for m in ms]
+        assert got == self._twin(label, lambda s, k: s.enc_many(k.sk, ms))
+        return multiple(*got)
+
+    @rule(target=cts, ct=cts, kind=st.sampled_from(MUTATION_CLASSES[1:]), seed=st.integers(0, 2**32))
+    def mutate(self, ct, kind, seed):
+        return mutate_ciphertext(ct, kind, np.random.default_rng(seed)) if ct else ct
+
+    @rule(
+        target=cts,
+        label=st.sampled_from(_KEY_LABELS),
+        tag_of=st.integers(0, 2**10),
+        payload_of=st.integers(0, 2**10),
+        cert=st.sampled_from([b"", b"\x00" * 64]) | cts,
+    )
+    def splice(self, label, tag_of, payload_of, cert):
+        # a spliced base ciphertext under a certificate field nobody issued
+        # for it: empty, zero, another ciphertext's, or any pool bytes
+        scheme = self.schemes[label[0]]
+        base_ct = forge_spliced_ciphertext(
+            scheme.base, self.keys[label].sk.base_sk, self._message(tag_of), self._message(payload_of)
+        )
+        parsed = scheme.parse(cert)
+        if parsed is not None:
+            cert = parsed[1]
+        return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
+
+    @rule(target=cts, ct=cts, donor=cts)
+    def transplant(self, ct, donor):
+        # one ciphertext's base ciphertext under another's certificate
+        scheme = self.schemes["signature"]
+        p, q = scheme.parse(ct), scheme.parse(donor)
+        return ct if p is None or q is None else ct[:2] + encode_blob(p[0], q[1])
+
+    @rule(label=st.sampled_from(_KEY_LABELS), ct=cts)
+    def dec(self, label, ct):
+        scheme, sk = self.schemes[label[0]], self.keys[label].sk
+        got = scheme.dec(sk, ct)
+        assert got is BOT or 0 <= got < (1 << self.ell)
+        assert got == scheme.dec(sk, ct)
+        assert got == self._twin(label, lambda s, k: s.dec(k.sk, ct))
+
+    @rule(label=st.sampled_from(_KEY_LABELS), c0=cts, c1=cts)
+    def comp(self, label, c0, c1):
+        scheme, key = self.schemes[label[0]], self.keys[label]
+        got = scheme.comp(key.params, c0, c1)
+        assert got is comp_ciph(scheme, key.sk, c0, c1)
+        assert got is self._twin(label, lambda s, k: s.comp(k.params, c0, c1))
+
+    @rule(label=st.sampled_from(_KEY_LABELS), batch=st.lists(cts, max_size=6), c1=cts)
+    def comp_many(self, label, batch, c1):
+        scheme, key = self.schemes[label[0]], self.keys[label]
+        got = scheme.comp_many(key.params, batch, c1)
+        assert got == [scheme.comp(key.params, c0, c1) for c0 in batch]
+        assert got == self._twin(label, lambda s, k: s.comp_many(k.params, batch, c1))
+
+    @rule(labels=st.lists(st.sampled_from(_KEY_LABELS), min_size=1, unique=True))
+    def clear_memos(self, labels):
+        for label in labels:
+            sk = self.keys[label].sk
+            sk.base_sk._tags.clear()
+            sk.cert_vk.verdicts.clear()
+
+    @rule(
+        label=st.sampled_from(_KEY_LABELS),
+        n=st.integers(1, 3),
+        k_cap=st.integers(1, 4),
+        anchor=cts,
+        seed=st.integers(0, 2**32),
+    )
+    def estimate(self, label, n, k_cap, anchor, seed):
+        # the bucket estimator on a tiny state of this key, shared with a
+        # forked child whenever two of its buckets are live
+        def estimates(scheme, key, estimator):
+            rng = np.random.default_rng(seed)
+            raw, order, bounds, well_spaced = draw_buckets(scheme.domain_size, n, rng)
+            state = ReidentState(
+                concept=EncThreshConcept(scheme, scheme.domain_size // 2, key),
+                raw_messages=raw,
+                bucket_bounds=bounds,
+                sorted_to_raw=order,
+                junk_example=None,
+                well_spaced=well_spaced,
+            )
+            hypothesis = ComparatorHypothesis(scheme, key.params, anchor)
+            return estimator(state, hypothesis, rng), rng.integers(0, 2**63), _live_buckets(state)
+
+        def shared(state, hypothesis, rng):
+            return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap)[0].tolist()
+
+        def per_draw(state, hypothesis, rng):
+            return _per_draw_estimate(state, hypothesis, k_cap, rng)
+
+        with _processes(2) as forks:
+            got = estimates(self.schemes[label[0]], self.keys[label], shared)
+        assert len(forks) == min(2, got[2]) - 1
+        assert got == self._twin(label, lambda s, k: estimates(s, k, per_draw))
+
+    @invariant()
+    def memos_stay_bounded(self):
+        for key in self.keys.values():
+            assert len(key.sk.base_sk._tags) <= opf.TAG_MEMO_MAX + 1
+            assert len(key.sk.cert_vk.verdicts) <= strengthen.VERDICT_MEMO_MAX + 1
+
+
+SchemeAgainstMemoFreeTwin.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+test_scheme_against_memo_free_twin = SchemeAgainstMemoFreeTwin.TestCase

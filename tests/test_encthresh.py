@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from orelearn.encthresh import (
@@ -161,6 +162,19 @@ def test_empirical_error_self_agreement(rng):
             return concept.evaluate(x)
 
     assert empirical_error(TruthTable(), concept, dist, 200, rng) == 0.0
+
+
+def test_point_mass_draw_above_the_rounded_cumulative_weights_is_the_last_point():
+    # seven equal weights sum, normalized, to 0.9999999999999998
+    points = [f"x{i}" for i in range(7)]
+    dist = PointMassDistribution(points, [1] * 7)
+    assert dist._cum[-1] < np.nextafter(1.0, 0.0)
+
+    class TopDraw:
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+    assert dist.sample(TopDraw()) == "x6"
 
 
 def test_empirical_error_all_zeroes_on_positive_point_mass(rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelearn.core import (
     BOT,
@@ -9,6 +10,7 @@ from orelearn.core import (
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
+    mutate_ciphertext,
 )
 from orelearn.opf import OpfOre, forge_spliced_ciphertext
 
@@ -188,3 +190,31 @@ def test_dec_rejects_wrong_key_ciphertexts(rng):
     k1, k2 = scheme.gen(rng), scheme.gen(rng)
     for m in (0, 1, 9999, 65535):
         assert scheme.dec(k2.sk, scheme.enc(k1.sk, m)) is BOT
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ell=st.integers(1, 64),
+    coins=st.binary(min_size=32, max_size=32),
+    kind=st.sampled_from(["honest", "bitflip", "truncate", "random", "spliced", "other-key"]),
+    data=st.data(),
+)
+def test_dec_succeeds_only_on_the_encryption_of_its_result(ell, coins, kind, data):
+    # the contract the escrow certifier relies on: dec returns m only for
+    # the bytes enc(sk, m), so "decrypts" is "in the range of enc"
+    scheme = OpfOre(ell=ell)
+    sk = scheme.gen_from_coins(coins).sk
+    message = st.integers(0, scheme.domain_size - 1)
+    m = data.draw(message)
+    if kind == "spliced":
+        ct = forge_spliced_ciphertext(scheme, sk, tag_of=data.draw(message), payload_of=m)
+    elif kind == "other-key":
+        other = scheme.gen_from_coins(data.draw(st.binary(min_size=32, max_size=32)))
+        ct = scheme.enc(other.sk, m)
+    else:
+        ct = scheme.enc(sk, m)
+        if kind != "honest":
+            ct = mutate_ciphertext(ct, kind, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+    got = scheme.dec(sk, ct)
+    if got is not BOT:
+        assert scheme.enc(sk, got) == ct

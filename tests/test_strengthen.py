@@ -16,6 +16,7 @@ from orelearn.core import (
 )
 from orelearn.opf import OpfOre, forge_spliced_ciphertext
 from orelearn.strengthen import (
+    STRONG_VERSION,
     EscrowCertifier,
     SignatureCertifier,
     StrengthenedOre,
@@ -109,6 +110,37 @@ def test_escrow_rejects_the_spliced_forgery_witness(rng):
     key = scheme.gen(rng)
     witness = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
     assert key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, witness, b"") is False
+
+
+def _refuse_to_encrypt(*args):
+    raise AssertionError("escrow verification encrypted")
+
+
+def test_escrow_verification_encrypts_nothing(rng, monkeypatch):
+    base = OpfOre(ell=8)
+    scheme = StrengthenedOre(base, EscrowCertifier())
+    key = scheme.gen(rng)
+    honest, _cert = scheme.parse(scheme.enc(key.sk, 42))
+    spliced = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
+    garbage = honest[:2] + bytes(rng.bytes(len(honest) - 2))
+    monkeypatch.setattr(key.sk.cert_vk._base, "_seal", _refuse_to_encrypt)
+    verdicts = [
+        key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, ct, b"")
+        for ct in (honest, spliced, garbage)
+    ]
+    assert verdicts == [True, False, False]
+
+
+def test_escrow_ciphertext_is_unique_only_up_to_its_certificate(rng):
+    # escrow ignores the certificate field, so enc(dec(ct)) == ct holds for
+    # the base scheme but not for the strengthened one
+    scheme = _escrow_scheme()
+    key = scheme.gen(rng)
+    base_ct, cert = scheme.parse(scheme.enc(key.sk, 7))
+    assert cert == b""
+    ct = bytes([STRONG_VERSION, scheme.ell]) + encode_blob(base_ct, b"xyz")
+    assert scheme.dec(key.sk, ct) == 7
+    assert scheme.enc(key.sk, 7) != ct
 
 
 def test_signature_certificate_signs_the_statement_bytes(rng):
