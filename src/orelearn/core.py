@@ -288,7 +288,10 @@ MUTATION_CLASSES = ("valid", "bitflip", "truncate", "random")
 def mutate_ciphertext(ct: bytes, kind: str, rng: np.random.Generator) -> bytes:
     """Apply one mutation class to ``ct``: "bitflip" flips one uniform bit,
     "truncate" keeps a uniform proper prefix, and "random" returns uniform
-    bytes of a uniform length in [1, len(ct) + 16)."""
+    bytes of a uniform length in [1, len(ct) + 16).  An empty ``ct`` comes
+    back unchanged from "bitflip" and "truncate", with no draw."""
+    if not ct and kind in ("bitflip", "truncate"):
+        return ct
     if kind == "bitflip":
         pos = int(rng.integers(0, len(ct) * 8))
         b = bytearray(ct)

@@ -22,7 +22,9 @@ those is precisely what strong comparison correctness buys.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -383,11 +385,11 @@ class PointMassDistribution:
         total = float(sum(weights))
         self.points = list(points)
         self.weights = [w / total for w in weights]
-        self._cum = np.cumsum(self.weights)
+        self._cum = list(accumulate(self.weights))
 
     def sample(self, rng: np.random.Generator) -> Example:
         # rounding can leave the last cumulative weight below a draw: the last point's
-        i = int(np.searchsorted(self._cum, rng.random()))
+        i = bisect_left(self._cum, rng.random())
         return self.points[min(i, len(self.points) - 1)]
 
     def exact_error(self, hypothesis, concept: EncThreshConcept) -> float:
@@ -407,7 +409,7 @@ def random_point_mass(
     """Dirichlet weights on the encryptions of ``size`` distinct uniform messages."""
     ms = rng.choice(concept.scheme.domain_size, size=size, replace=False)
     points = concept.encrypt_examples(ms.tolist())
-    return PointMassDistribution(points, rng.dirichlet(np.ones(size)).tolist())
+    return PointMassDistribution(points, rng.dirichlet([1.0] * size).tolist())
 
 
 DISTRIBUTION_FAMILIES = ("uniform", "malformed", "wrongparams", "pointmass")

@@ -276,15 +276,14 @@ class ReductionAdversary:
     def choose_challenge(self, rng: np.random.Generator) -> ChallengePair:
         n = self.n
         raw, order, bounds, well_spaced = draw_buckets(self.scheme.domain_size, n, rng)
-        idx = int(np.nonzero(order == self.j_star - 1)[0][0])
+        idx = order.index(self.j_star - 1)
         degenerate = not well_spaced
         if not degenerate:
-            lo0, hi0 = int(bounds[idx]), int(bounds[idx + 1])  # bucket below
-            lo1, hi1 = int(bounds[idx + 1]), int(bounds[idx + 2])  # bucket above
+            lo0, hi0 = bounds[idx], bounds[idx + 1]  # bucket below
+            lo1, hi1 = bounds[idx + 1], bounds[idx + 2]  # bucket above
             j = int(rng.integers(0, 2))
             blo, bhi = (lo0, hi0) if j == 0 else (lo1, hi1)
-            a, b = rng.integers(blo + 1, bhi, size=2)
-            m_l0, m_l1 = int(min(a, b)), int(max(a, b))
+            m_l0, m_l1 = sorted(rng.integers(blo + 1, bhi, size=2).tolist())
             m_r0 = int(rng.integers(lo0 + 1, hi0))
             m_r1 = int(rng.integers(lo1 + 1, hi1))
             if m_l0 == m_l1:
@@ -295,11 +294,11 @@ class ReductionAdversary:
             self._trial = None
             self.transcript_flags = {"degenerate": True, "not_well_spaced": not well_spaced}
             return ChallengePair(left=filler, right=filler)
-        prefix = bounds[: idx + 1].tolist()  # 0 and the sorted draws below the target
-        suffix = bounds[idx + 2 : -1].tolist()
+        prefix = bounds[: idx + 1]  # 0 and the sorted draws below the target
+        suffix = bounds[idx + 2 : -1]
         left = tuple(prefix + [m_l0, m_l1] + suffix)
         right = tuple(prefix + [m_r0, m_r1] + suffix)
-        self._trial = (raw, order, idx)
+        self._trial = (raw, idx, prefix + suffix)
         self.transcript_flags = {"degenerate": False, "not_well_spaced": False}
         return ChallengePair(left=left, right=right)
 
@@ -308,19 +307,14 @@ class ReductionAdversary:
         self._trial = None
         if trial is None:  # degenerate, or no challenge was chosen
             return int(rng.integers(0, 2))
-        raw, order, idx = trial
-        n, t = self.n, self.scheme.domain_size // 2
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        sample = []
-        for j0 in range(n):
-            if j0 == self.j_star - 1:
-                sample.append((Example(params, cts[0]), 1))  # junk slot, label 1
-                continue
-            k = int(inv[j0])
-            ct_index = 1 + k if k < idx else 2 + k
-            label = 1 if int(raw[j0]) < t else 0
-            sample.append((Example(params, cts[ct_index]), label))
+        raw, idx, shared = trial
+        # both sides encrypt the shared messages (0 and every draw but the
+        # target's) at every position outside the two challenge slots
+        ct_of = dict(zip(shared, [*cts[: idx + 1], *cts[idx + 3 :]]))
+        messages = list(raw)
+        messages[self.j_star - 1] = 0  # the junk slot: the encryption of 0, labeled 1
+        t = self.scheme.domain_size // 2
+        sample = [(Example(params, ct_of[m]), 1 if m < t else 0) for m in messages]
         hypothesis = self.learner(sample)
         y0 = hypothesis.evaluate(Example(params, cts[idx + 1]))
         y1 = hypothesis.evaluate(Example(params, cts[idx + 2]))
@@ -341,15 +335,16 @@ def synthetic_reduction_win_rate(
     """
     if trials == 0:
         return float("nan")
-    bits = rng.integers(0, 2, size=trials)
-    u0, u1 = rng.random(trials), rng.random(trials)
-    same_bucket_rate = np.where(rng.integers(0, 2, size=trials) == 0, p, q)
-    rate0 = np.where(bits == 0, same_bucket_rate, p)
-    rate1 = np.where(bits == 0, same_bucket_rate, q)
-    y0 = u0 < rate0
-    y1 = u1 < rate1
-    guesses = (y0 != y1).astype(int)
-    return float(np.mean(guesses == bits))
+    bits = rng.integers(0, 2, size=trials).tolist()
+    u0, u1 = rng.random(trials).tolist(), rng.random(trials).tolist()
+    buckets = rng.integers(0, 2, size=trials).tolist()
+    wins = 0
+    for bit, v0, v1, bucket in zip(bits, u0, u1, buckets):
+        same_bucket_rate = p if bucket == 0 else q
+        y0 = v0 < (same_bucket_rate if bit == 0 else p)
+        y1 = v1 < (same_bucket_rate if bit == 0 else q)
+        wins += (y0 != y1) == bit
+    return wins / trials
 
 
 # ---------------------------------------------------------------------------

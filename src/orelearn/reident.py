@@ -60,9 +60,9 @@ class ReidentState:
     """Shared state between the generator and the tracer for one run."""
 
     concept: EncThreshConcept
-    raw_messages: np.ndarray  # m'_1..m'_n in draw order
-    bucket_bounds: np.ndarray  # 0, m_1 <= ... <= m_n, N-1; bucket i is [b_i, b_{i+1})
-    sorted_to_raw: np.ndarray  # raw (0-based) index of each sorted position
+    raw_messages: list[int]  # m'_1..m'_n in draw order
+    bucket_bounds: list[int]  # 0, m_1 <= ... <= m_n, N-1; bucket i is [b_i, b_{i+1})
+    sorted_to_raw: list[int]  # raw (0-based) index of each sorted position
     junk_example: Example  # encryption of m_0 = 0, labeled 1
     well_spaced: bool
 
@@ -75,23 +75,23 @@ class ReidentState:
 class TraceVerdict:
     accused: "int | None"  # raw sample index in [1, n], or None for no accusation
     accused_sorted: "int | None"  # sorted position of the separating message
-    estimates: np.ndarray  # p_hat_0 .. p_hat_n
+    estimates: list[float]  # p_hat_0 .. p_hat_n
     degraded: bool = False  # True when empty buckets inherited estimates
 
 
 def draw_buckets(
     big_n: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+) -> tuple[list[int], list[int], list[int], bool]:
     """Draw n uniform messages of {0, ..., N-1} and the buckets they split.
 
     Returns the draws in draw order, their stable sort order, the n+2
     bucket bounds (0, m_1, ..., m_n, N-1) and whether the draw is
     well-spaced: every gap between bounds, sentinels included, exceeds one.
     """
-    raw = rng.integers(0, big_n, size=n)
-    order = np.argsort(raw, kind="stable")
-    bounds = np.concatenate(([0], raw[order], [big_n - 1]))
-    return raw, order, bounds, bool(np.all(np.diff(bounds) > 1))
+    raw = rng.integers(0, big_n, size=n).tolist()
+    order = sorted(range(n), key=raw.__getitem__)
+    bounds = [0, *sorted(raw), big_n - 1]
+    return raw, order, bounds, all(hi - lo > 1 for lo, hi in zip(bounds, bounds[1:]))
 
 
 def gen_ex(
@@ -117,7 +117,7 @@ def gen_ex(
     key = scheme.gen(rng)
     concept = EncThreshConcept(scheme=scheme, t=big_n // 2, key=key)
     raw, order, bounds, well_spaced = draw_buckets(big_n, n, rng)
-    junk, *examples = concept.encrypt_examples([0] + raw.tolist())
+    junk, *examples = concept.encrypt_examples([0, *raw])
     state = ReidentState(
         concept=concept,
         raw_messages=raw,
@@ -126,7 +126,7 @@ def gen_ex(
         junk_example=junk,
         well_spaced=well_spaced,
     )
-    sample = [(x, 1 if m < concept.t else 0) for x, m in zip(examples, raw.tolist())]
+    sample = [(x, 1 if m < concept.t else 0) for x, m in zip(examples, raw)]
     return state, sample
 
 
@@ -169,7 +169,7 @@ def estimate_bucket_probs(
     xi: float,
     rng: np.random.Generator,
     k_cap: "int | None" = None,
-) -> tuple[np.ndarray, int, bool, bool]:
+) -> tuple[list[float], int, bool, bool]:
     """Per-bucket acceptance estimates of the hypothesis on fresh encryptions.
 
     Returns (estimates, K used, conforming, degraded).  Empty buckets (only
@@ -195,9 +195,8 @@ def estimate_bucket_probs(
     """
     n = state.n
     k, conforming = capped_sample_count(n, gamma, xi, k_cap)
-    bounds = state.bucket_bounds.tolist()
+    bounds = state.bucket_bounds
     concept = state.concept
-    scheme, sk, params = concept.scheme, concept.key.sk, concept.key.params
     evaluate_many = getattr(hypothesis, "evaluate_many", None)
     if evaluate_many is None:
         evaluate_many = lambda examples: map(hypothesis.evaluate, examples)
@@ -214,12 +213,12 @@ def estimate_bucket_probs(
             acc = 0
             for start in range(0, k, ESTIMATE_BATCH):
                 batch = draws[start : start + ESTIMATE_BATCH].tolist()
-                acc += sum(evaluate_many([Example(params, ct) for ct in scheme.enc_many(sk, batch)]))
+                acc += sum(evaluate_many(concept.encrypt_examples(batch)))
             hits[i] = acc
         return hits
 
     hits = _tally_shared(tally, live)
-    p_hat = np.zeros(n + 1)
+    p_hat = [0.0] * (n + 1)
     for i in range(n + 1):
         if i in hits:
             p_hat[i] = hits[i] / k
@@ -228,7 +227,7 @@ def estimate_bucket_probs(
     return p_hat, k, conforming, len(live) < n + 1
 
 
-def accuse_from_estimates(estimates: np.ndarray, gamma: float, n: int) -> "int | None":
+def accuse_from_estimates(estimates: list[float], gamma: float, n: int) -> "int | None":
     """Least sorted position i in [1, n] with p_hat_{i-1} - p_hat_i >= gamma/n."""
     threshold = gamma / n
     for i in range(1, n + 1):
@@ -252,7 +251,7 @@ def trace_ex(
     sorted_i = accuse_from_estimates(estimates, gamma, state.n)
     raw_i = None
     if sorted_i is not None:
-        raw_i = int(state.sorted_to_raw[sorted_i - 1]) + 1
+        raw_i = state.sorted_to_raw[sorted_i - 1] + 1
     return TraceVerdict(
         accused=raw_i,
         accused_sorted=sorted_i,

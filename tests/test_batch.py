@@ -328,7 +328,7 @@ def _per_draw_estimate(state, hypothesis, k, rng):
     scheme, key = state.concept.scheme, state.concept.key
     bounds = state.bucket_bounds
     est = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    for lo, hi in zip(bounds, bounds[1:]):
         if hi <= lo:
             est.append(est[-1] if est else 0.0)
             continue
@@ -387,7 +387,7 @@ def test_estimator_batches_match_the_per_item_fallback(kind, ell, seed, n, k_cap
         return est, rng.integers(0, 2**63)  # and where the stream was left
 
     def batched(state, hypothesis, rng):
-        return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=k_cap)[0].tolist()
+        return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap=k_cap)[0]
 
     expected = run(lambda state, h, rng: _per_draw_estimate(state, h, k_cap, rng))
     for workers in range(1, min(3, os.cpu_count() + 1) + 1):  # never more children than CPUs
@@ -464,7 +464,7 @@ def test_estimator_shares_a_few_draws(rng):
         stream = np.random.default_rng(seed)
         with _processes(workers) as forks:
             est = estimate_bucket_probs(state, hypothesis, 0.45, 0.01, stream, k_cap=5)[0]
-        return forks, est.tolist(), stream.integers(0, 2**63)
+        return forks, est, stream.integers(0, 2**63)
 
     serial, shared = estimate(1), estimate(2)
     assert serial[0] == [] and shared[0] == [1]
@@ -485,7 +485,7 @@ def test_estimator_stays_serial(reason, rng):
     def estimate():
         stream = np.random.default_rng(seed)
         est = estimate_bucket_probs(state, hypothesis, 0.45, 0.01, stream, k_cap=40)[0]
-        return est.tolist(), stream.integers(0, 2**63)
+        return est, stream.integers(0, 2**63)
 
     expected = estimate()
     stop = threading.Event()
@@ -763,7 +763,7 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
 
     @rule(target=cts, ct=cts, kind=st.sampled_from(MUTATION_CLASSES[1:]), seed=st.integers(0, 2**32))
     def mutate(self, ct, kind, seed):
-        return mutate_ciphertext(ct, kind, np.random.default_rng(seed)) if ct else ct
+        return mutate_ciphertext(ct, kind, np.random.default_rng(seed))
 
     @rule(
         target=cts,
@@ -845,7 +845,7 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
             return estimator(state, hypothesis, rng), rng.integers(0, 2**63), _live_buckets(state)
 
         def shared(state, hypothesis, rng):
-            return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap)[0].tolist()
+            return estimate_bucket_probs(state, hypothesis, 0.45, 0.01, rng, k_cap)[0]
 
         def per_draw(state, hypothesis, rng):
             return _per_draw_estimate(state, hypothesis, k_cap, rng)

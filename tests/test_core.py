@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from orelearn.core import (
     BOT,
+    MUTATION_CLASSES,
     Bot,
     Ordering3,
     PublicParams,
@@ -157,6 +158,25 @@ def test_mutate_ciphertext_classes(ct, seed):
     assert 1 <= len(noise) < len(ct) + 16
     with pytest.raises(ValueError):
         mutate_ciphertext(ct, "valid", np.random.default_rng(seed))
+
+
+@given(
+    st.binary(max_size=64),
+    st.sampled_from(MUTATION_CLASSES[1:]),
+    st.sampled_from(MUTATION_CLASSES[1:]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mutating_twice_never_raises(ct, first, second, seed):
+    # a one-byte ciphertext truncates to b"", which the second mutation takes
+    rng = np.random.default_rng(seed)
+    mutate_ciphertext(mutate_ciphertext(ct, first, rng), second, rng)
+
+
+@pytest.mark.parametrize("kind", ["bitflip", "truncate"])
+def test_empty_ciphertext_comes_back_unchanged_without_a_draw(kind):
+    rng = np.random.default_rng(3)
+    assert mutate_ciphertext(b"", kind, rng) == b""
+    assert rng.integers(0, 2**63) == np.random.default_rng(3).integers(0, 2**63)
 
 
 def test_determinism_fixed_coins():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orelearn.encthresh import (
     AllZeroesHypothesis,
@@ -175,6 +176,32 @@ def test_point_mass_draw_above_the_rounded_cumulative_weights_is_the_last_point(
             return np.nextafter(1.0, 0.0)
 
     assert dist.sample(TopDraw()) == "x6"
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@given(
+    st.lists(st.integers(0, 3) | st.floats(0.0, 1e3), min_size=1, max_size=12).filter(any),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200)
+def test_point_mass_draw_matches_searchsorted_of_cumsum(weights, seed):
+    # the draw as it was written on numpy arrays, kept as the reference;
+    # zero weights tie cumulative weights, and the edges probe each tie
+    points = list(range(len(weights)))
+    dist = PointMassDistribution(points, weights)
+    cum = np.cumsum(dist.weights)
+    edges = [0.0, *cum.tolist(), *np.nextafter(cum, 0.0).tolist(), *np.nextafter(cum, 1.0).tolist()]
+    draws = np.random.default_rng(seed).random(20).tolist()
+    for u in edges + draws:
+        want = points[min(int(np.searchsorted(cum, u)), len(points) - 1)]
+        assert dist.sample(_FixedDraw(u)) == want
 
 
 def test_empirical_error_all_zeroes_on_positive_point_mass(rng):

@@ -1,5 +1,6 @@
 """Indistinguishability games, the hybrid schedule, and the reduction."""
 
+import copy
 import json
 import math
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orelearn.core import BOT
 from orelearn.encthresh import pac_learn
 from orelearn.games import (
     ChallengePair,
@@ -24,6 +24,7 @@ from orelearn.games import (
 )
 from orelearn.harness import ExperimentConfig, run
 from orelearn.opf import OpfOre
+from orelearn.reident import draw_buckets
 from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 
 
@@ -151,6 +152,30 @@ def test_success_prob_rejects_out_of_range():
         adversary_success_prob(0, -0.1)
 
 
+def _numpy_win_rate(p, q, trials, rng):
+    """``synthetic_reduction_win_rate`` as it was written on numpy arrays,
+    kept as the reference."""
+    if trials == 0:
+        return float("nan")
+    bits = rng.integers(0, 2, size=trials)
+    u0, u1 = rng.random(trials), rng.random(trials)
+    same_bucket_rate = np.where(rng.integers(0, 2, size=trials) == 0, p, q)
+    rate0 = np.where(bits == 0, same_bucket_rate, p)
+    rate1 = np.where(bits == 0, same_bucket_rate, q)
+    guesses = ((u0 < rate0) != (u1 < rate1)).astype(int)
+    return float(np.mean(guesses == bits))
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 20_000])
+@pytest.mark.parametrize("p, q", [(1.0, 0.0), (0.75, 0.25), (0.5, 0.5), (0.3, 0.9)])
+def test_synthetic_win_rate_matches_the_numpy_reference(p, q, trials):
+    for seed in range(3):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthetic_reduction_win_rate(p, q, trials, rng)
+        assert repr(got) == repr(_numpy_win_rate(p, q, trials, reference))
+        assert rng.integers(0, 2**63) == reference.integers(0, 2**63)
+
+
 def test_synthetic_monte_carlo_matches_formula(rng):
     for p, q in ((1.0, 0.0), (0.75, 0.25), (0.5, 0.5)):
         rate = synthetic_reduction_win_rate(p, q, 30_000, rng)
@@ -254,8 +279,10 @@ def test_reduction_adversary_builds_the_replaced_sample(rng):
         return pac_learn(scheme, sample)
 
     adversary = ReductionAdversary(scheme, spy_learner, n, j_star)
+    raw = draw_buckets(scheme.domain_size, n, copy.deepcopy(rng))[0]
     challenge = adversary.choose_challenge(rng)
     challenge.validate(scheme.domain_size)
+    assert not adversary.transcript_flags["degenerate"]
     assert len(challenge.left) == n + 2
     key = scheme.gen(rng)
     cts = [scheme.enc(key.sk, m) for m in challenge.left]
@@ -271,7 +298,7 @@ def test_reduction_adversary_builds_the_replaced_sample(rng):
         if pos == j_star - 1:
             continue
         m = scheme.dec(key.sk, x.ct)
-        assert m is not BOT
+        assert m == raw[pos]  # each slot holds the draw at its own position
         assert label == (1 if m < t else 0)
 
 

@@ -20,6 +20,7 @@ from orelearn.reident import (
     estimate_bucket_probs,
     gen_ex,
     concentration_sample_count,
+    draw_buckets,
     sample_without,
     soundness_experiment,
     trace_ex,
@@ -66,10 +67,50 @@ def test_gen_ex_well_spacing_fails_under_pigeonhole_pressure():
 
 def test_gen_ex_sorted_is_permutation_of_raw(rng):
     state, _ = gen_ex(_scheme(), 20, rng)
-    sorted_messages = state.bucket_bounds[1:-1].tolist()  # m_1 <= ... <= m_n
-    assert sorted(state.raw_messages.tolist()) == sorted_messages
+    sorted_messages = state.bucket_bounds[1:-1]  # m_1 <= ... <= m_n
+    assert sorted(state.raw_messages) == sorted_messages
     recon = [state.raw_messages[i] for i in state.sorted_to_raw]
     assert recon == sorted_messages
+
+
+def _numpy_draw_buckets(big_n, n, rng):
+    """``draw_buckets`` as it was written on numpy arrays, kept as the reference."""
+    raw = rng.integers(0, big_n, size=n)
+    order = np.argsort(raw, kind="stable")
+    bounds = np.concatenate(([0], raw[order], [big_n - 1]))
+    return raw.tolist(), order.tolist(), bounds.tolist(), bool(np.all(np.diff(bounds) > 1))
+
+
+def _check_draw_buckets(big_n, n, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_buckets(big_n, n, rng)
+    assert got == _numpy_draw_buckets(big_n, n, reference)
+    assert all(type(v) is int for part in got[:3] for v in part)
+    assert rng.integers(0, 2**63) == reference.integers(0, 2**63)
+    return got
+
+
+@given(
+    big_n=st.integers(1, 6) | st.integers(7, 2**62),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_draw_buckets_matches_the_numpy_reference(big_n, n, seed):
+    _check_draw_buckets(big_n, n, seed)
+
+
+def test_draw_buckets_matches_the_numpy_reference_on_tiny_domains():
+    # equal draws keep their draw order, and draws of 0 or N-1 touch a sentinel
+    zeros = tops = ties = 0
+    for seed in range(60):
+        big_n = 3 + seed % 4
+        raw, order, _, well_spaced = _check_draw_buckets(big_n, 5, seed)
+        assert not well_spaced
+        zeros += 0 in raw
+        tops += big_n - 1 in raw
+        ties += any(raw[a] == raw[b] for a, b in zip(order, order[1:]))
+    assert zeros and tops and ties
 
 
 def test_sample_without_replaces_one_slot(rng):
@@ -139,7 +180,7 @@ def test_estimates_all_zero_hypothesis(rng):
     est, k, conforming, degraded = estimate_bucket_probs(
         state, AllZeroesHypothesis(), 0.5, 0.5, rng, k_cap=100
     )
-    assert np.all(est == 0.0)
+    assert est == [0.0] * 9
     assert k == 100 and not conforming
 
 
