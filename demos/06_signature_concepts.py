@@ -13,6 +13,7 @@ it was not shown.
 
 import numpy as np
 
+from orelearn.reident import sample_without
 from orelearn.validsig import (
     Ed25519Scheme,
     SigExampleDistribution,
@@ -20,7 +21,6 @@ from orelearn.validsig import (
     run_weak_forgery_game,
     validsig_gen_ex,
     validsig_learn,
-    validsig_sample_without,
     validsig_trace_ex,
 )
 
@@ -48,7 +48,7 @@ drop = 9
 accusations = 0
 for _ in range(50):
     state, sample = validsig_gen_ex(sig, 20, 64, rng)
-    rep = validsig_learn(validsig_sample_without(state, sample, drop))
+    rep = validsig_learn(sample_without(state, sample, drop))
     accusations += validsig_trace_ex(state, rep) == drop
 print(f"dropped index {drop} accused in {accusations}/50 runs without it")
 

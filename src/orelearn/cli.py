@@ -99,7 +99,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigError(key, f"not a comma-separated list of ints: {value!r}") from None
         elif value is not None:
             raw[key] = value
-    raw.setdefault("mode", next(iter(_MODES[args.experiment])))
     return ExperimentConfig.from_dict(raw)
 
 

@@ -150,7 +150,6 @@ class OreScheme:
     arguments.
     """
 
-    name = "abstract"
     ell: int
     coin_len: int
 

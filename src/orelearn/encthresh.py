@@ -257,11 +257,7 @@ def empirical_error(
     """Disagreement rate of hypothesis vs concept on fresh i.i.d. draws."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    bad = 0
-    for _ in range(samples):
-        x = dist.sample(rng)
-        if hypothesis.evaluate(x) != concept.evaluate(x):
-            bad += 1
+    bad = sum(hypothesis.evaluate(x) != y for x, y in labeled_sample(concept, dist, samples, rng))
     return bad / samples
 
 
@@ -286,7 +282,6 @@ class UniformValidDistribution:
     three share one ``exact_error``.
     """
 
-    name = "uniform"
     valid_weight = 1.0
 
     def __init__(self, concept: EncThreshConcept):
@@ -338,7 +333,6 @@ class MalformedMixtureDistribution(UniformValidDistribution):
     hypothesis reject it, so only the valid slice (weight 0.3) carries error.
     """
 
-    name = "malformed"
     valid_weight = 0.3
 
     def sample(self, rng: np.random.Generator) -> Example:
@@ -358,7 +352,6 @@ class WrongParamsMixtureDistribution(UniformValidDistribution):
     carries error.
     """
 
-    name = "wrongparams"
     valid_weight = 0.3
 
     def __init__(self, concept: EncThreshConcept, decoy: KeyMaterial):
@@ -377,12 +370,12 @@ class WrongParamsMixtureDistribution(UniformValidDistribution):
 class PointMassDistribution:
     """A finite-support distribution given explicitly as (example, weight)."""
 
-    name = "pointmass"
-
     def __init__(self, points: Sequence[Example], weights: Sequence[float]):
         if len(points) != len(weights) or not points:
             raise ValueError("need matching nonempty points and weights")
         total = float(sum(weights))
+        if not (all(0.0 <= w < math.inf for w in weights) and 0.0 < total < math.inf):
+            raise ValueError("weights must be finite and nonnegative with a positive finite sum")
         self.points = list(points)
         self.weights = [w / total for w in weights]
         self._cum = list(accumulate(self.weights))

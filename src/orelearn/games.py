@@ -54,6 +54,15 @@ __all__ = [
 ]
 
 
+def _check_ascending(ms: Sequence[int], domain_size: int, name: str):
+    """Raise unless every message lies in the domain and ``ms`` strictly ascends."""
+    for m in ms:
+        if not (0 <= m < domain_size):
+            raise ValueError(f"{name} message {m} outside domain")
+    if any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"{name} sequence not strictly ascending")
+
+
 @dataclass(frozen=True)
 class ChallengePair:
     """Left/right message sequences for the static game."""
@@ -66,12 +75,8 @@ class ChallengePair:
             raise ValueError("challenge sides must have equal length")
         if not self.left:
             raise ValueError("challenge must contain at least one message")
-        for side, name in ((self.left, "left"), (self.right, "right")):
-            for m in side:
-                if not (0 <= m < domain_size):
-                    raise ValueError(f"{name} message {m} outside domain")
-            if any(a >= b for a, b in zip(side, side[1:])):
-                raise ValueError(f"{name} sequence not strictly ascending")
+        _check_ascending(self.left, domain_size, "left")
+        _check_ascending(self.right, domain_size, "right")
 
     @property
     def q(self) -> int:
@@ -90,13 +95,8 @@ class SingleChallenge:
         ms = self.messages
         if len(ms) < 2:
             raise ValueError("single-challenge game needs q >= 2 base messages")
-        for m in (*ms, self.m_left, self.m_right):
-            if not (0 <= m < domain_size):
-                raise ValueError(f"message {m} outside domain")
-        if any(a >= b for a, b in zip(ms, ms[1:])):
-            raise ValueError("base sequence not strictly ascending")
-        if not (self.m_left < self.m_right):
-            raise ValueError("challenge messages must satisfy m_left < m_right")
+        _check_ascending(ms, domain_size, "base")
+        _check_ascending((self.m_left, self.m_right), domain_size, "challenge")
         # the pair must sit strictly between two consecutive base messages;
         # challenges hanging off either end are rejected rather than guessed at
         ok = any(
@@ -115,14 +115,6 @@ class GameReport:
     ci_halfwidth: float
     flag_counts: dict = field(default_factory=dict)
     transcripts: "list[dict] | None" = None  # trial, bit, guess, win, then the flags
-
-    @property
-    def ci_lo(self) -> float:
-        return self.advantage - self.ci_halfwidth
-
-    @property
-    def ci_hi(self) -> float:
-        return self.advantage + self.ci_halfwidth
 
 
 def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameReport:

@@ -170,8 +170,9 @@ class ExperimentConfig:
             kind, _, optional = f.type.partition(" | ")
             if not (_TYPE_CHECKS[kind](v) or (optional and v is None)):
                 raise ConfigError(f.name, f"must be of type {f.type}, got {v!r}")
-        merged = dict(_DEFAULTS)
-        merged.update(raw)
+        # an absent mode is the experiment's first; an unknown experiment fails in validate
+        first_mode = next(iter(_MODES.get(raw["experiment"], [None])))
+        merged = {**_DEFAULTS, "mode": first_mode, **raw}
         cfg = cls(**{k: (tuple(v) if k in ("left", "right") and v is not None else v) for k, v in merged.items()})
         cfg.validate()
         return cfg
@@ -548,8 +549,8 @@ def _run_games(config: ExperimentConfig):
             "game": f"static/{config.mode}",
             "trials": config.trials,
             "advantage": report.advantage,
-            "ci_lo": report.ci_lo,
-            "ci_hi": report.ci_hi,
+            "ci_lo": report.advantage - report.ci_halfwidth,
+            "ci_hi": report.advantage + report.ci_halfwidth,
         }
     ]
     aggregates = {

@@ -100,8 +100,6 @@ class OpfSecretKey:
 class OpfOre(OreScheme):
     """The weakly correct base scheme (order-preserving tag + payload)."""
 
-    name = "opf"
-
     def __init__(self, ell: int = 16, coin_len: int = 32):
         if not (1 <= ell <= 64):
             raise ValueError(f"ell must be in [1, 64], got {ell}")

@@ -130,13 +130,13 @@ def gen_ex(
     return state, sample
 
 
-def sample_without(
-    state: ReidentState, sample: list[tuple[Example, int]], i: int
-) -> list[tuple[Example, int]]:
-    """The sample with position i (1-based) replaced by the junk example.
+def sample_without(state, sample: list[tuple], i: int) -> list[tuple]:
+    """The sample with position i (1-based) replaced by the state's junk
+    example, labeled 1.
 
-    The junk slot is labeled 1: it encrypts 0, which every middle-threshold
-    concept accepts.
+    Either state works: a ``ReidentState``'s junk example encrypts 0, which
+    every middle-threshold concept accepts; a ``validsig.ValidSigState``'s
+    is the spare signed triple x_0, which its concept accepts.
     """
     if not (1 <= i <= state.n):
         raise ValueError(f"index {i} outside [1, {state.n}]")

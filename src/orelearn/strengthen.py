@@ -236,7 +236,6 @@ class StrengthenedOre(OreScheme):
         self.certifier = certifier
         self.ell = base.ell
         self.coin_len = base.coin_len
-        self.name = f"strong-{certifier.name}"
 
     def gen_from_coins(self, coins: bytes) -> KeyMaterial:
         def sub(label: bytes) -> bytes:

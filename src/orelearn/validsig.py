@@ -36,7 +36,6 @@ __all__ = [
     "ValidSigConcept",
     "validsig_learn",
     "validsig_gen_ex",
-    "validsig_sample_without",
     "validsig_trace_ex",
     "ValidSigState",
     "SigningOracle",
@@ -48,8 +47,6 @@ __all__ = [
 
 class Ed25519Scheme:
     """Thin deterministic wrapper around Ed25519 signatures."""
-
-    name = "ed25519"
 
     def gen(self, rng: np.random.Generator):
         seed = bytes(rng.bytes(32))
@@ -139,6 +136,11 @@ class ValidSigState:
     def n(self) -> int:
         return len(self.examples) - 1
 
+    @property
+    def junk_example(self) -> SigTriple:
+        """The spare x_0 that ``reident.sample_without`` puts in a dropped slot."""
+        return self.examples[0]
+
 
 def validsig_gen_ex(
     sig_scheme: Ed25519Scheme, n: int, ell: int, rng: np.random.Generator
@@ -163,16 +165,6 @@ def validsig_gen_ex(
     state = ValidSigState(concept=concept, signing_key=sk, examples=xs)
     sample = [(x, 1) for x in xs[1:]]
     return state, sample
-
-
-def validsig_sample_without(
-    state: ValidSigState, sample: list[tuple[SigTriple, int]], i: int
-) -> list[tuple[SigTriple, int]]:
-    if not (1 <= i <= state.n):
-        raise ValueError(f"index {i} outside [1, {state.n}]")
-    out = list(sample)
-    out[i - 1] = (state.examples[0], 1)
-    return out
 
 
 def validsig_trace_ex(state: ValidSigState, rep: "SigTriple | None") -> "int | None":
@@ -257,6 +249,8 @@ class SigExampleDistribution:
         positive_weight: float,
         rng: np.random.Generator,
     ):
+        if not (0.0 <= positive_weight <= 1.0):
+            raise ValueError(f"positive_weight {positive_weight} outside [0, 1]")
         self.state = state
         self.positive_weight = positive_weight
         sig = state.concept.sig_scheme

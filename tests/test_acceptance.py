@@ -50,6 +50,7 @@ from orelearn.reident import (
     estimate_bucket_probs,
     gen_ex,
     concentration_sample_count,
+    sample_without,
     soundness_experiment,
 )
 from orelearn.sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
@@ -61,7 +62,6 @@ from orelearn.validsig import (
     representation_error,
     validsig_gen_ex,
     validsig_learn,
-    validsig_sample_without,
     validsig_trace_ex,
 )
 
@@ -539,7 +539,7 @@ def test_c11_validsig():
     for trial in range(500):
         rng = derive_trial_rng(SEED, trial, b"c11-sound")
         state, sample = validsig_gen_ex(sig, 50, 64, rng)
-        rep = validsig_learn(validsig_sample_without(state, sample, 25))
+        rep = validsig_learn(sample_without(state, sample, 25))
         if validsig_trace_ex(state, rep) == 25:
             accusations += 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from orelearn import cli
 from orelearn.cli import main
-from orelearn.harness import _MODES
+from orelearn.harness import _MODES, ExperimentConfig
 
 
 def test_hybrid_subcommand_success(capsys):
@@ -115,6 +115,18 @@ def test_config_file_mode_is_kept_without_mode_flag(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "synthetic", "trials": 2000, "seed": 9}))
     assert main(["games", "--config", str(cfg)]) == 0
     assert "max_gap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment", list(_MODES))
+def test_from_dict_and_the_cli_share_the_first_mode_default(experiment):
+    raw, argv = {"experiment": experiment}, [experiment]
+    if experiment == "hybrid":
+        raw.update(left=[0], right=[1])
+        argv += ["--left", "0", "--right", "1"]
+    from_dict = ExperimentConfig.from_dict(raw)
+    from_cli = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert from_dict.mode == next(iter(_MODES[experiment]))
+    assert from_dict.canonical_json() == from_cli.canonical_json()
 
 
 def test_out_dir_and_formats(tmp_path):

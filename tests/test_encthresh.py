@@ -204,6 +204,21 @@ def test_point_mass_draw_matches_searchsorted_of_cumsum(weights, seed):
         assert dist.sample(_FixedDraw(u)) == want
 
 
+@given(st.lists(st.floats() | st.floats(0.0, 1e3) | st.sampled_from([0.0, 1.0, -1.0]), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_point_mass_weights_must_be_probabilities(weights):
+    # zero weights are legal; a negative, NaN or infinite weight, or a total
+    # of zero, would give exact_error and the SQ oracle mass outside [0, 1]
+    points = list(range(len(weights)))
+    if not (all(math.isfinite(w) and w >= 0 for w in weights) and 0 < sum(weights) < math.inf):
+        with pytest.raises(ValueError):
+            PointMassDistribution(points, weights)
+        return
+    dist = PointMassDistribution(points, weights)
+    assert all(0.0 <= w <= 1.0 for w in dist.weights)
+    assert math.isclose(sum(dist.weights), 1.0)
+
+
 def test_empirical_error_all_zeroes_on_positive_point_mass(rng):
     concept = _concept(rng, t=256)  # every message is positive
     dist = PointMassDistribution([concept.encrypt_example(3)], [1.0])

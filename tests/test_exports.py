@@ -35,3 +35,17 @@ def test_benchmark_tracer_installs():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # a module-level binding of np.random.Generator would pull numpy.random and
+    # its submodules into every CLI start; annotations stay unevaluated strings
+    path = str(_ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, orelearn.cli; print('numpy.random' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -55,7 +55,7 @@ def test_single_challenge_sandwich_validation():
         SingleChallenge((5, 10), 1, 3).validate(16)
     with pytest.raises(ValueError):  # challenge after the last base message
         SingleChallenge((1, 5), 7, 9).validate(16)
-    with pytest.raises(ValueError):  # m_left must be strictly below m_right
+    with pytest.raises(ValueError, match="challenge sequence not strictly ascending"):
         SingleChallenge((1, 10), 6, 6).validate(16)
     with pytest.raises(ValueError):  # base message inside the sandwich window
         SingleChallenge((1, 5, 10), 4, 6).validate(16)

@@ -39,8 +39,16 @@ def test_missing_experiment_rejected():
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         _cfg(experiment="nope")
+    assert err.value.field_path == "experiment"
+
+
+def test_explicit_null_mode_is_kept():
+    assert _cfg(experiment="sq", mode=None).mode is None
+    with pytest.raises(ConfigError) as err:
+        _cfg(experiment="games", mode=None)
+    assert err.value.field_path == "mode"
 
 
 def test_unknown_mode_rejected_naming_field():

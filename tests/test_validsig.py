@@ -2,6 +2,7 @@
 
 import pytest
 
+from orelearn.reident import sample_without
 from orelearn.validsig import (
     Ed25519Scheme,
     SigExampleDistribution,
@@ -11,7 +12,6 @@ from orelearn.validsig import (
     run_weak_forgery_game,
     validsig_gen_ex,
     validsig_learn,
-    validsig_sample_without,
     validsig_trace_ex,
 )
 
@@ -141,6 +141,20 @@ def test_learner_success_across_distributions(rng):
         assert good / trials >= 0.85
 
 
+@pytest.mark.parametrize(
+    "weight, ok",
+    [(-0.5, False), (0.0, True), (0.5, True), (1.0, True), (1.5, False), (2.0, False), (float("nan"), False)],
+)
+def test_positive_weight_must_be_a_probability(weight, ok, rng):
+    state, _ = validsig_gen_ex(Ed25519Scheme(), 1, 64, rng)
+    if not ok:
+        with pytest.raises(ValueError):
+            SigExampleDistribution(state, positive_weight=weight, rng=rng)
+        return
+    dist = SigExampleDistribution(state, positive_weight=weight, rng=rng)
+    assert representation_error(None, state.concept, dist.positive_mass()) == weight
+
+
 # -- tracing ------------------------------------------------------------------------------
 
 
@@ -173,17 +187,18 @@ def test_soundness_dropped_index_never_accused(rng):
     drop = 7
     for _ in range(50):
         state, sample = validsig_gen_ex(sig, 12, 64, rng)
-        rep = validsig_learn(validsig_sample_without(state, sample, drop))
+        rep = validsig_learn(sample_without(state, sample, drop))
         assert validsig_trace_ex(state, rep) != drop
 
 
 def test_sample_without_bounds(rng):
     sig = Ed25519Scheme()
     state, sample = validsig_gen_ex(sig, 4, 64, rng)
+    assert sample_without(state, sample, 2) == [sample[0], (state.examples[0], 1), *sample[2:]]
     with pytest.raises(ValueError):
-        validsig_sample_without(state, sample, 0)
+        sample_without(state, sample, 0)
     with pytest.raises(ValueError):
-        validsig_sample_without(state, sample, 5)
+        sample_without(state, sample, 5)
 
 
 # -- forgery game -----------------------------------------------------------------------
