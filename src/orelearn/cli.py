@@ -25,6 +25,8 @@ from .harness import (
     run,
 )
 
+__all__ = ["build_parser", "main"]
+
 _HELP = {
     "correctness": "decryption/weak/strong correctness sweeps",
     "pac": "comparator learner error-bound experiment",

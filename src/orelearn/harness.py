@@ -264,7 +264,7 @@ def derive_trial_rng(
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def build_scheme(config: ExperimentConfig, coin_len: int = 32):
+def _build_scheme(config: ExperimentConfig, coin_len: int = 32):
     base = OpfOre(ell=config.ell, coin_len=coin_len)
     if config.scheme == "opf":
         return base
@@ -382,7 +382,7 @@ def _trial_rows(trial_row, items) -> list:
 
 
 def _run_correctness(config: ExperimentConfig):
-    scheme = build_scheme(config)
+    scheme = _build_scheme(config)
     rng = derive_trial_rng(config.seed, 0)
     key = scheme.gen(rng)
     rows = []
@@ -419,7 +419,7 @@ def _run_correctness(config: ExperimentConfig):
 
 
 def _run_pac(config: ExperimentConfig):
-    scheme = build_scheme(config)
+    scheme = _build_scheme(config)
     n = required_sample_size(config.alpha, config.beta)
     families = (
         DISTRIBUTION_FAMILIES if config.dist == "all" else (config.dist,)
@@ -460,7 +460,7 @@ def _run_pac(config: ExperimentConfig):
 
 
 def _run_trace(config: ExperimentConfig):
-    scheme = build_scheme(config)
+    scheme = _build_scheme(config)
     learner = lambda sample: pac_learn(scheme, sample)
     rng = derive_trial_rng(config.seed, 0)
     # pass alpha = 1/2 - gamma to match the weak-learning tracing regime;
@@ -526,7 +526,7 @@ def _run_games(config: ExperimentConfig):
             ok &= abs(rate - want) <= 0.01
         return columns, rows, {"max_gap": max(r["ci_hi"] for r in rows)}, ok
 
-    scheme = build_scheme(config)
+    scheme = _build_scheme(config)
     q = 4
     lo = scheme.domain_size // 8
     span = scheme.domain_size // 2
@@ -594,7 +594,7 @@ def _run_hybrid(config: ExperimentConfig):
 
 
 def _run_sq(config: ExperimentConfig):
-    scheme = build_scheme(config, coin_len=_KEYSPACES[config.keyspace])
+    scheme = _build_scheme(config, coin_len=_KEYSPACES[config.keyspace])
     columns = ["trial", "queries", "recovered_t", "true_t", "error", "hypothesis"]
     bound = 1 + 8 * scheme.params_len() + config.ell
 

@@ -65,16 +65,6 @@ class OpfSecretKey:
         self._h_auth = hashlib.blake2b(key + b"\x03", digest_size=_AUTH_LEN)
         self._tags: dict[int, int] = {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpfSecretKey)
-            and self.key == other.key
-            and self.ell == other.ell
-        )
-
-    def __hash__(self):
-        return hash((self.key, self.ell))
-
     def split_fraction(self, depth: int, prefix: int) -> int:
         """Pseudorandom 128-bit value of the descent node (depth, prefix).
 

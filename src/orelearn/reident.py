@@ -48,6 +48,7 @@ __all__ = [
     "completeness_experiment",
     "soundness_experiment",
     "dp_bound",
+    "ESTIMATE_BATCH",
 ]
 
 # draws per enc_many/evaluate_many call in the bucket estimator; bounds the

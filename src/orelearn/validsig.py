@@ -42,6 +42,7 @@ __all__ = [
     "run_weak_forgery_game",
     "SigExampleDistribution",
     "random_message",
+    "representation_error",
 ]
 
 

@@ -13,6 +13,7 @@ the run non-conforming (a trace report's ``k_conforming`` is False).
 import hashlib
 import json
 import pathlib
+import runpy
 import time
 
 import numpy as np
@@ -66,7 +67,10 @@ from orelearn.validsig import (
 )
 
 SEED = 74205
-_GOLDENS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+_GOLDENS = _PERFBENCH / "goldens.json"
+# the configs goldens.json pins; read by path, as perfbench/ is not a package
+_GOLDEN_CONFIGS = runpy.run_path(str(_PERFBENCH / "workloads.py"))["GOLDEN_CONFIGS"]
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = ""):
@@ -583,40 +587,11 @@ def test_c11_validsig():
 
 def test_c12_determinism():
     """Re-runs give identical CSV bodies, and each body matches the SHA-256
-    pinned for the same config in perfbench/goldens.json."""
+    pinned for the same config in perfbench/goldens.json.  The configs are
+    the ``c12-`` entries of perfbench/workloads.py's ``GOLDEN_CONFIGS``."""
     start = time.perf_counter()
-    configs = {
-        "c12-correctness-escrow": {"experiment": "correctness", "ell": 16, "trials": 800, "seed": 11},
-        "c12-correctness-signature": {
-            "experiment": "correctness", "ell": 16, "trials": 400, "seed": 11, "certifier": "signature",
-        },
-        "c12-pac-all": {"experiment": "pac", "ell": 16, "trials": 10, "seed": 11, "dist": "all"},
-        "c12-trace-completeness": {
-            "experiment": "trace",
-            "mode": "completeness",
-            "ell": 32,
-            "n": 12,
-            "trials": 3,
-            "seed": 11,
-            "k_cap": 120,
-        },
-        "c12-trace-soundness": {
-            "experiment": "trace",
-            "mode": "soundness",
-            "ell": 32,
-            "n": 12,
-            "drop_index": 6,
-            "trials": 3,
-            "seed": 11,
-            "k_cap": 120,
-        },
-        "c12-games-random": {"experiment": "games", "mode": "random", "ell": 16, "trials": 300, "seed": 11},
-        "c12-games-synthetic": {"experiment": "games", "mode": "synthetic", "trials": 20_000, "seed": 11},
-        "c12-hybrid": {"experiment": "hybrid", "left": [1, 5, 9], "right": [2, 5, 8], "ell": 4},
-        "c12-sq": {"experiment": "sq", "ell": 12, "trials": 3, "seed": 11},
-        "c12-validsig-learn": {"experiment": "validsig", "mode": "learn", "ell": 64, "trials": 10, "seed": 11},
-        "c12-validsig-forge": {"experiment": "validsig", "mode": "forge", "ell": 64, "trials": 10, "seed": 11},
-    }
+    # the benchmark also pins two workload shapes that C12 does not run
+    configs = {k: v for k, v in _GOLDEN_CONFIGS.items() if k.startswith("c12-")}
     goldens = json.loads(_GOLDENS.read_text())["configs"]
     ok = True
     mismatched = []

@@ -1,5 +1,7 @@
 """Experiment harness: config schema, trial streams, report determinism."""
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -221,10 +223,51 @@ def test_lam_changes_nothing_but_the_config_hash(raw):
     # lam is hashed into the first line of every CSV body and read by nothing else
     r128 = run(ExperimentConfig.from_dict({**raw, "lam": 128}))
     r256 = run(ExperimentConfig.from_dict({**raw, "lam": 256}))
+    _assert_same_bodies_under_other_hashes(r128, r256)
+
+
+def _assert_same_bodies_under_other_hashes(r1, r2):
     for body in ("csv_trials", "csv_summary"):
-        a, b = getattr(r128, body)(), getattr(r256, body)()
+        a, b = getattr(r1, body)(), getattr(r2, body)()
         assert a.split("\n", 1)[0] != b.split("\n", 1)[0]
         assert a.split("\n", 1)[1] == b.split("\n", 1)[1]
+
+
+def _every_mode_small():
+    for experiment, modes in _MODES.items():
+        for mode in modes:
+            raw = {"experiment": experiment, "mode": mode, "ell": 10, "n": 4, "trials": 3, "seed": 1}
+            if experiment == "trace":
+                raw.update(ell=24, k_cap=40, drop_index=1 if mode == "soundness" else None)
+            elif experiment == "hybrid":
+                raw.update(ell=4, left=[1, 5, 9], right=[2, 5, 8])
+            elif experiment == "validsig":
+                raw["ell"] = 64
+            marks = ()
+            if mode == "synthetic":
+                # the game name synthetic(p=1.0,q=0.0) is written unquoted;
+                # quoting it changes the pinned body (ROADMAP item 5)
+                marks = pytest.mark.xfail(strict=True, reason="unquoted comma in a cell")
+            yield pytest.param(raw, id=f"{experiment}-{mode}", marks=marks)
+
+
+@pytest.mark.parametrize("raw", _every_mode_small())
+def test_every_csv_row_is_as_wide_as_its_header(raw):
+    report = run(ExperimentConfig.from_dict(raw))
+    for body in (report.csv_trials(), report.csv_summary()):
+        preamble, header, *rows = csv.reader(io.StringIO(body))
+        assert preamble[0] == CSV_SCHEMA_VERSION
+        assert [len(row) for row in rows] == [len(header)] * len(rows), body
+
+
+def test_sq_without_a_mode_writes_the_exact_mode_rows():
+    # sq's None and "exact" are two spellings of one mode (ROADMAP item 5
+    # drops None): equal bodies under different config hashes
+    raw = {"experiment": "sq", "ell": 10, "trials": 3, "seed": 5}
+    default = run(ExperimentConfig.from_dict(raw))
+    exact = run(ExperimentConfig.from_dict({**raw, "mode": "exact"}))
+    assert default.config.mode is None
+    _assert_same_bodies_under_other_hashes(default, exact)
 
 
 def _reject_constant(token):
