@@ -93,13 +93,6 @@ class Ordering3(enum.Enum):
     def __str__(self):
         return self.value
 
-    def flipped(self) -> "Ordering3":
-        if self is Ordering3.LT:
-            return Ordering3.GT
-        if self is Ordering3.GT:
-            return Ordering3.LT
-        return Ordering3.EQ
-
 
 def compare_ints(m0: int, m1: int) -> Ordering3:
     """Reference plaintext comparison of two integers."""

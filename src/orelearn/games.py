@@ -28,6 +28,7 @@ acceptance rates (p, q) is 1/2 + (p-q)^2/2, computed by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -122,41 +123,38 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
 
     Per trial: the adversary picks a challenge, then the bit and the key are
     drawn and ``encrypt(sk, challenge, bit)`` gives the ciphertext arguments
-    that ``adversary.guess`` receives between the params and the rng.
+    that ``adversary.guess`` receives between the params and the rng.  The
+    report is computed from one record per trial: (bit, guess, a copy of
+    the adversary's ``transcript_flags``).
     """
-    guesses = {0: [], 1: []}
-    transcripts = [] if keep_transcripts else None
-    flag_counts: dict = {}
-    for trial in range(trials):
+    records = []
+    for _ in range(trials):
         challenge = adversary.choose_challenge(rng)
         challenge.validate(scheme.domain_size)
         bit = int(rng.integers(0, 2))
         key = scheme.gen(rng)
         guess = int(adversary.guess(key.params, *encrypt(key.sk, challenge, bit), rng))
-        guesses[bit].append(guess)
-        flags = getattr(adversary, "transcript_flags", None) or {}
-        for k, v in flags.items():
-            if v:
-                flag_counts[k] = flag_counts.get(k, 0) + 1
-        if keep_transcripts:
-            transcripts.append(dict(trial=trial, bit=bit, guess=guess, win=guess == bit, **flags))
-    n0, n1 = len(guesses[0]), len(guesses[1])
+        records.append((bit, guess, dict(getattr(adversary, "transcript_flags", None) or {})))
+    by_bit = [[g for b, g, _ in records if b == bit] for bit in (0, 1)]
     # a bit that was never drawn has no rate, so neither has the advantage
-    p0 = _rate(guesses[0], lambda g: g)
-    p1 = _rate(guesses[1], lambda g: g)
+    p0, p1 = (_rate(guesses, lambda g: g) for guesses in by_bit)
     var = 0.0
-    if n0:
-        var += p0 * (1 - p0) / n0
-    if n1:
-        var += p1 * (1 - p1) / n1
+    for guesses, p in zip(by_bit, (p0, p1)):
+        if guesses:
+            var += p * (1 - p) / len(guesses)
     half = max(1.96 * var**0.5, 10.0 / max(trials, 1))
     return GameReport(
         p_guess1_given_b0=p0,
         p_guess1_given_b1=p1,
         advantage=abs(p0 - p1),
         ci_halfwidth=half,
-        flag_counts=flag_counts,
-        transcripts=transcripts,
+        flag_counts=dict(Counter(k for *_, flags in records for k, v in flags.items() if v)),
+        transcripts=[
+            dict(trial=trial, bit=bit, guess=guess, win=guess == bit, **flags)
+            for trial, (bit, guess, flags) in enumerate(records)
+        ]
+        if keep_transcripts
+        else None,
     )
 
 
@@ -280,18 +278,17 @@ class ReductionAdversary:
             m_r1 = int(rng.integers(lo1 + 1, hi1))
             if m_l0 == m_l1:
                 degenerate = True
+        self.transcript_flags = {"degenerate": degenerate, "not_well_spaced": not well_spaced}
         if degenerate:
             # keep the game well-defined: identical sides, random guess later
             filler = tuple(range(n + 2))
             self._trial = None
-            self.transcript_flags = {"degenerate": True, "not_well_spaced": not well_spaced}
             return ChallengePair(left=filler, right=filler)
         prefix = bounds[: idx + 1]  # 0 and the sorted draws below the target
         suffix = bounds[idx + 2 : -1]
         left = tuple(prefix + [m_l0, m_l1] + suffix)
         right = tuple(prefix + [m_r0, m_r1] + suffix)
         self._trial = (raw, idx, prefix + suffix)
-        self.transcript_flags = {"degenerate": False, "not_well_spaced": False}
         return ChallengePair(left=left, right=right)
 
     def guess(self, params: PublicParams, cts: Sequence[bytes], rng) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -62,7 +62,7 @@ from .reident import (
     dp_bound,
     soundness_experiment,
 )
-from .sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
+from .sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn, tolerance_floor
 from .strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from .validsig import (
     Ed25519Scheme,
@@ -114,6 +114,10 @@ _SCHEMES = ("opf", "strengthened")
 _CERTIFIERS = {"signature": SignatureCertifier, "escrow": EscrowCertifier}
 _DISTS = DISTRIBUTION_FAMILIES + ("all",)
 _KEYSPACES = {"oracle": 32, "tiny": 2}  # keyspace -> base scheme coin bytes
+# experiment -> the functions whose counts its runner derives, each taking
+# config fields by name; no bit length k can make the SQ floor raise, so k = 1
+_COUNTS = {"pac": [required_sample_size], "validsig": [required_sample_size],
+           "sq": [lambda alpha: tolerance_floor(1, alpha)], "trace": [capped_sample_count, dp_bound]}
 
 
 class ConfigError(ValueError):
@@ -206,6 +210,17 @@ class ExperimentConfig:
             raise ConfigError("xi", "must lie in (0, 1)")
         if not (0 <= self.eps <= 700):  # dp_bound needs a finite float e**eps
             raise ConfigError("eps", "must lie in [0, 700]")
+        # each count the runner derives must exist: the count's parameters
+        # (config fields) join the defaults in order, and the one whose value
+        # makes the count raise is named
+        for count in _COUNTS.get(self.experiment, ()):
+            args = {name: _DEFAULTS[name] for name in inspect.signature(count).parameters}
+            for name in args:
+                args[name] = getattr(self, name)
+                try:
+                    count(**args)
+                except ArithmeticError as exc:  # overflow, or a square underflowed to 0
+                    raise ConfigError(name, f"leaves a derived count non-finite ({exc})") from None
         for name, allowed in (
             ("scheme", _SCHEMES),
             ("certifier", tuple(_CERTIFIERS)),
@@ -302,20 +317,16 @@ class ExperimentReport:
 
     def csv_trials(self) -> str:
         """Per-trial CSV body; excludes wall-clock so re-runs are identical."""
-        buf = io.StringIO()
-        buf.write(",".join([self.schema, "config=" + self.config.config_hash()]) + "\n")
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_csv_cell(row.get(c)) for c in self.columns) + "\n")
-        return buf.getvalue()
+        return self._csv(self.columns, [[row.get(c) for c in self.columns] for row in self.rows])
 
     def csv_summary(self) -> str:
-        buf = io.StringIO()
         keys = sorted(self.aggregates)
-        buf.write(",".join([self.schema, "config=" + self.config.config_hash()]) + "\n")
-        buf.write(",".join(keys) + "\n")
-        buf.write(",".join(_csv_cell(self.aggregates[k]) for k in keys) + "\n")
-        return buf.getvalue()
+        return self._csv(keys, [[self.aggregates[k] for k in keys]])
+
+    def _csv(self, header: list, rows: list) -> str:
+        """The schema and config-hash line, the header line, then one line per row."""
+        lines = [f"{self.schema},config={self.config.config_hash()}", ",".join(header)]
+        return "".join(line + "\n" for line in lines + [",".join(map(_csv_cell, r)) for r in rows])
 
     def write(self, out_dir, formats=("json", "csv")):
         import pathlib

@@ -38,7 +38,6 @@ __all__ = [
     "validsig_gen_ex",
     "validsig_trace_ex",
     "ValidSigState",
-    "SigningOracle",
     "run_weak_forgery_game",
     "SigExampleDistribution",
     "random_message",
@@ -159,10 +158,8 @@ def validsig_gen_ex(
         anchor_sig=anchor_sig,
         ell=ell,
     )
-    xs = []
-    for _ in range(n + 1):
-        m = random_message(ell, rng)
-        xs.append(SigTriple(vk, m, sig_scheme.sign(sk, m)))
+    messages = [random_message(ell, rng) for _ in range(n + 1)]
+    xs = [SigTriple(vk, m, sig_scheme.sign(sk, m)) for m in messages]
     state = ValidSigState(concept=concept, signing_key=sk, examples=xs)
     sample = [(x, 1) for x in xs[1:]]
     return state, sample
@@ -184,20 +181,6 @@ def validsig_trace_ex(state: ValidSigState, rep: "SigTriple | None") -> "int | N
 # ---------------------------------------------------------------------------
 
 
-class SigningOracle:
-    """Counts queries and records the (message, signature) pairs handed out."""
-
-    def __init__(self, sig_scheme: Ed25519Scheme, sk: Ed25519PrivateKey):
-        self._sig = sig_scheme
-        self._sk = sk
-        self.queried: set[tuple[bytes, bytes]] = set()
-
-    def sign(self, message: bytes) -> bytes:
-        sig = self._sig.sign(self._sk, message)
-        self.queried.add((message, sig))
-        return sig
-
-
 def run_weak_forgery_game(
     sig_scheme: Ed25519Scheme,
     learner,
@@ -207,22 +190,19 @@ def run_weak_forgery_game(
 ) -> dict:
     """Wrap a representation learner as a weak forgery adversary.
 
-    The adversary queries the signing oracle on n random messages, runs the
-    learner on the resulting all-positive sample, and outputs the learned
-    triple's (message, signature) as its forgery.  The game value is 1 iff
-    the forgery verifies and was never handed out by the oracle.
+    The adversary has n random messages signed, runs the learner on the
+    resulting all-positive sample, and outputs the learned triple's
+    (message, signature) as its forgery.  The game value is 1 iff the
+    forgery verifies and is not a (message, signature) pair of the sample.
     """
     sk, vk = sig_scheme.gen(rng)
-    oracle = SigningOracle(sig_scheme, sk)
-    sample = []
-    for _ in range(n):
-        m = random_message(ell, rng)
-        sample.append((SigTriple(vk, m, oracle.sign(m)), 1))
+    messages = [random_message(ell, rng) for _ in range(n)]
+    sample = [(SigTriple(vk, m, sig_scheme.sign(sk, m)), 1) for m in messages]
     rep = learner(sample)
     if rep is None:
         return {"value": 0, "forgery": None, "reason": "learner output bottom"}
     forgery = (rep.message, rep.sig)
-    fresh = forgery not in oracle.queried
+    fresh = all(forgery != (x.message, x.sig) for x, _ in sample)
     valid = sig_scheme.ver(vk, rep.message, rep.sig)
     return {
         "value": int(valid and fresh),

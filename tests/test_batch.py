@@ -566,12 +566,13 @@ def test_a_failing_trial_raises_in_the_caller_and_leaves_no_child(monkeypatch):
 
 
 class _InvertedComp(OpfOre):
-    """Flips every strict comparison and refuses (BOT) every equal or
-    malformed one, so every honest pair fails the weak check."""
+    """Flips every strict comparison (by comparing the operands swapped) and
+    refuses (BOT) every equal or malformed one, so every honest pair fails
+    the weak check."""
 
     def comp(self, params, c0, c1):
-        got = super().comp(params, c0, c1)
-        return BOT if got in (BOT, Ordering3.EQ) else got.flipped()
+        got = super().comp(params, c1, c0)
+        return BOT if got in (BOT, Ordering3.EQ) else got
 
 
 _CHECKED = {  # kind -> scheme; "opf" also gets the spliced witness pair

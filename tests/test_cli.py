@@ -66,6 +66,18 @@ def test_exit_code_2_on_missing_drop_index():
         # report; above 709.78, e**eps overflows and dp_bound raises
         (["trace", "--ell", "32", "--n", "2", "--trials", "1", "--k-cap", "5", "--eps", "inf"], "eps"),
         (["trace", "--ell", "32", "--n", "2", "--trials", "1", "--k-cap", "5", "--eps", "1000"], "eps"),
+        # in range, but a count the runner derives from the value is not finite:
+        # the sample size ln(1/beta)/alpha, the SQ tolerance floor, the
+        # estimator's K (gamma**2 underflows to 0 at 1e-320) and dp_bound
+        (["pac", "--alpha", "5e-324", "--trials", "0"], "alpha"),
+        (["pac", "--beta", "1e-320", "--trials", "0"], "beta"),
+        (["validsig", "--mode", "forge", "--alpha", "1e-320", "--trials", "0"], "alpha"),
+        (["sq", "--alpha", "1e-320", "--trials", "1"], "alpha"),
+        (["trace", "--gamma", "1e-320", "--trials", "0"], "gamma"),
+        (["trace", "--gamma", "1e-160", "--trials", "0"], "gamma"),
+        (["trace", "--xi", "1e-320", "--trials", "0"], "xi"),
+        (["trace", "--n", str(10**200), "--trials", "0"], "n"),
+        (["trace", "--n", str(10**400), "--k-cap", "3", "--trials", "0"], "n"),
     ],
 )
 def test_exit_code_2_on_bad_flag_value(argv, field, capsys):

@@ -27,9 +27,9 @@ from orelearn.opf import OpfOre
 def test_comp_plain_total_order_exhaustive_ell6():
     # antisymmetry and transitivity on every pair/triple of the ell=6 domain
     domain = range(64)
+    swapped = {Ordering3.LT: Ordering3.GT, Ordering3.GT: Ordering3.LT, Ordering3.EQ: Ordering3.EQ}
     for a, b in itertools.product(domain, repeat=2):
-        r = compare_ints(a, b)
-        assert r.flipped() is compare_ints(b, a)
+        assert swapped[compare_ints(a, b)] is compare_ints(b, a)
     lt = [[compare_ints(a, b) is Ordering3.LT for b in domain] for a in domain]
     for a, b, c in itertools.product(domain, repeat=3):
         if lt[a][b] and lt[b][c]:
@@ -105,10 +105,11 @@ def test_check_decryption_correctness_detects_broken_scheme(rng):
 
 
 class _InvertedCompScheme(OpfOre):
-    """Negative control: comparison answers are flipped."""
+    """Negative control: comparison answers are flipped (the operands are
+    compared swapped)."""
 
     def comp(self, params, c0, c1):
-        return super().comp(params, c0, c1).flipped()
+        return super().comp(params, c1, c0)
 
 
 def test_check_weak_correctness_detects_inverted_comparator(rng):

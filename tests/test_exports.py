@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,18 @@ def test_importing_the_cli_loads_no_numpy_random():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_src_has_no_assert_and_no_numpy_beyond_the_random_stream():
+    # invariants are explicit raises, so they survive python -O; numpy makes
+    # the random stream and nothing else.  Both regexes are matched per line,
+    # as grep would, over the sources only (no __pycache__ bytes)
+    found = []
+    for path in sorted((_ROOT / "src" / "orelearn").glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"^\s*assert\b", line) or (
+                re.search(r"np\.", line)
+                and not re.search(r"np\.random\.(Generator|default_rng)\b", line)
+            ):
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert found == []

@@ -359,6 +359,33 @@ def test_reduction_rejects_bad_index():
         ReductionAdversary(scheme, lambda s: None, 10, 11)
 
 
+@pytest.mark.parametrize("kind", ["random", "reduction"])
+def test_transcripts_change_no_figure_of_the_report(kind):
+    # the report and the transcripts are read off the same per-trial records,
+    # so asking for transcripts changes no rate, interval or flag count
+    scheme = _scheme(ell=8)
+
+    def play(keep):
+        if kind == "random":
+            adversary = RandomGuessAdversary()
+        else:  # at ell 8 some draws are not well-spaced, so both flags get counted
+            adversary = ReductionAdversary(scheme, lambda s: pac_learn(scheme, s), 8, 4)
+        return run_static_game(scheme, adversary, 40, np.random.default_rng(11), keep)
+
+    plain, kept = play(False), play(True)
+    assert plain.transcripts is None and len(kept.transcripts) == 40
+    for name in ("p_guess1_given_b0", "p_guess1_given_b1", "advantage", "ci_halfwidth"):
+        assert getattr(plain, name) == getattr(kept, name), name
+    assert plain.flag_counts == kept.flag_counts
+    assert list(plain.flag_counts) == list(kept.flag_counts)  # first-truthy order
+    counted = {k: sum(bool(t.get(k)) for t in kept.transcripts) for k in kept.flag_counts}
+    assert counted == kept.flag_counts
+    if kind == "reduction":
+        assert set(kept.flag_counts) == {"degenerate", "not_well_spaced"}
+    else:
+        assert kept.flag_counts == {}
+
+
 def test_game_runner_reproducible_and_scheme_unmutated():
     scheme = _scheme()
 
