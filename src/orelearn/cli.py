@@ -28,7 +28,7 @@ from .harness import (
 __all__ = ["build_parser", "main"]
 
 _HELP = {
-    "correctness": "decryption/weak/strong correctness sweeps",
+    "correctness": "weak and strong correctness sweeps",
     "pac": "comparator learner error-bound experiment",
     "trace": "reidentification completeness/soundness",
     "games": "indistinguishability game runners",

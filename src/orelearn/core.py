@@ -140,7 +140,10 @@ class OreScheme:
     Concrete schemes fix ell at construction and are immutable
     afterwards.  ``gen`` must be a deterministic function of the coin
     string, ``enc``/``dec``/``comp`` deterministic functions of their
-    arguments.
+    arguments.  Every honest ciphertext has one byte length, whatever the
+    message and, like the params, whatever the key: ``FuzzPairSampler``
+    draws its mutations for that length before it encrypts, and
+    ``ciphertext_len`` reads it off the key of all-zero coins.
     """
 
     ell: int
@@ -179,6 +182,11 @@ class OreScheme:
     def params_len(self) -> int:
         """Byte length of ``params.data``, read off the key of all-zero coins."""
         return len(self.gen_from_coins(bytes(self.coin_len)).params.data)
+
+    def ciphertext_len(self) -> int:
+        """The one byte length of honest ciphertexts, read off the encryption
+        of 0 under the key of all-zero coins."""
+        return len(self.enc(self.gen_from_coins(bytes(self.coin_len)).sk, 0))
 
     def _check_message(self, m: int):
         if not isinstance(m, int):
@@ -281,40 +289,84 @@ def mutate_ciphertext(ct: bytes, kind: str, rng: np.random.Generator) -> bytes:
     """Apply one mutation class to ``ct``: "bitflip" flips one uniform bit,
     "truncate" keeps a uniform proper prefix, and "random" returns uniform
     bytes of a uniform length in [1, len(ct) + 16).  An empty ``ct`` comes
-    back unchanged from "bitflip" and "truncate", with no draw."""
-    if not ct and kind in ("bitflip", "truncate"):
-        return ct
+    back unchanged from "bitflip" and "truncate", with no draw.
+
+    The mutation is drawn for ``len(ct)`` first, then applied, so a caller
+    that knows the length can make the draw before the ciphertext exists."""
+    return _apply_mutation(ct, kind, _draw_mutation(len(ct), kind, rng))
+
+
+def _draw_mutation(length: int, kind: str, rng: np.random.Generator):
+    """Every draw of one ``kind`` mutation of a ``length``-byte ciphertext:
+    the bit position ("bitflip"), the prefix length ("truncate") or the
+    bytes themselves ("random"); None, with no draw, for "bitflip" and
+    "truncate" when ``length`` is 0."""
     if kind == "bitflip":
-        pos = int(rng.integers(0, len(ct) * 8))
-        b = bytearray(ct)
-        b[pos // 8] ^= 1 << (pos % 8)
-        return bytes(b)
+        return int(rng.integers(0, length * 8)) if length else None
     if kind == "truncate":
-        return ct[: int(rng.integers(0, len(ct)))]
+        return int(rng.integers(0, length)) if length else None
     if kind == "random":
-        return bytes(rng.bytes(int(rng.integers(1, len(ct) + 16))))
+        return bytes(rng.bytes(int(rng.integers(1, length + 16))))
     raise ValueError(f"unknown mutation class {kind!r}")
 
 
+def _apply_mutation(ct: bytes, kind: str, draw) -> bytes:
+    """``ct`` under the mutation that ``_draw_mutation`` drew for its
+    length; ``ct`` itself when there is no draw.  Draws nothing."""
+    if draw is None:
+        return ct
+    if kind == "bitflip":
+        b = bytearray(ct)
+        b[draw // 8] ^= 1 << (draw % 8)
+        return bytes(b)
+    if kind == "truncate":
+        return ct[:draw]
+    return draw
+
+
 class FuzzPairSampler:
-    """Samples ciphertexts from four mutation classes at fixed 0.25 weights.
+    """Fuzz ciphertexts of one key from four mutation classes at fixed 0.25 weights.
 
     Classes: honest encryptions of uniform messages; single-bit-flipped
     encryptions; truncated encryptions; uniformly random byte strings of a
     plausible length.  The mix is fixed so fuzz coverage is reproducible.
+
+    ``sample`` makes every rng draw of one fuzz ciphertext (class, message,
+    mutation), the mutation drawn for ``length``: the key's one honest
+    ciphertext length (``OreScheme``), read off the encryption of 0, which
+    draws nothing.  ``build`` makes the bytes and draws nothing, so it can
+    run in any process; an encryption of another length raises there.
     """
 
     def __init__(self, scheme: OreScheme, key: KeyMaterial):
         self.scheme = scheme
         self.key = key
+        self.length = len(scheme.enc(key.sk, 0))
 
-    def sample(self, rng: np.random.Generator) -> tuple[bytes, str]:
+    def sample(self, rng: np.random.Generator) -> tuple[str, int, object]:
+        """(class, message, mutation draw) of one fuzz ciphertext; the draw
+        is None for the "valid" class."""
         cls = MUTATION_CLASSES[int(rng.integers(0, 4))]
         m = int(rng.integers(0, self.scheme.domain_size))
-        ct = self.scheme.enc(self.key.sk, m)
-        if cls == "valid":
-            return ct, cls
-        return mutate_ciphertext(ct, cls, rng), cls
+        return cls, m, None if cls == "valid" else _draw_mutation(self.length, cls, rng)
+
+    def build(self, samples: Sequence[tuple[str, int, object]]) -> list[bytes]:
+        """The fuzz ciphertexts of ``samples``, in order.  The distinct
+        messages of the samples that are not "random" are encrypted with
+        ``enc_many``, and each is mutated by its sample's draw; a "random"
+        sample is the bytes it drew, so it needs no encryption."""
+        ms = list(dict.fromkeys(m for cls, m, _ in samples if cls != "random"))
+        ct_of = dict(zip(ms, self.scheme.enc_many(self.key.sk, ms)))
+        for m, ct in ct_of.items():
+            if len(ct) != self.length:
+                raise ValueError(
+                    f"the encryption of {m} is {len(ct)} bytes, but the key's encryption "
+                    f"of 0 is {self.length}: a scheme's honest ciphertexts must have one length"
+                )
+        return [
+            draw if cls == "random" else _apply_mutation(ct_of[m], cls, draw)
+            for cls, m, draw in samples
+        ]
 
 
 def check_strong_correctness(
@@ -329,23 +381,26 @@ def check_strong_correctness(
     The pairs come from a ``FuzzPairSampler`` of the key.  The identity must
     hold exactly, including BOT agreement.  ``extra_pairs`` lets callers
     inject constructed witnesses (e.g. spliced tag/payload forgeries)
-    alongside the sampled classes; they are checked first.  The sampling
-    stays here; the checks are shared across CPUs, and the report lists
-    failures in pair order.
+    alongside the sampled classes; they are checked first.  Every sample
+    is drawn here, c0's then c1's, pair by pair, so the rng is left where
+    a serial loop leaves it.  The pairs are shared across CPUs: each
+    process builds the fuzz ciphertexts of its own pairs and checks them,
+    and the report lists failures in pair order.
     """
     sampler = FuzzPairSampler(scheme, key)
-    # every pair is drawn here first: checking a pair draws nothing, so the
-    # checks can be shared and the rng is left where the serial loop leaves it
-    pairs = [(c0, c1, "witness") for c0, c1 in extra_pairs]
-    for _ in range(trials):
-        c0, cls0 = sampler.sample(rng)
-        c1, cls1 = sampler.sample(rng)
-        pairs.append((c0, c1, f"{cls0}+{cls1}"))
+    extra = list(extra_pairs)
+    drawn = [(sampler.sample(rng), sampler.sample(rng)) for _ in range(trials)]
 
     def tally(share):
+        mine = [i - len(extra) for i in share if i >= len(extra)]
+        built = iter(sampler.build([s for j in mine for s in drawn[j]]))
         found = {}
         for i in share:
-            c0, c1, cls = pairs[i]
+            if i < len(extra):
+                (c0, c1), cls = extra[i], "witness"
+            else:
+                (cls0, _, _), (cls1, _, _) = drawn[i - len(extra)]
+                c0, c1, cls = next(built), next(built), f"{cls0}+{cls1}"
             pub = scheme.comp(key.params, c0, c1)
             ref = comp_ciph(scheme, key.sk, c0, c1)
             found[i] = None if pub is ref else (
@@ -353,7 +408,7 @@ def check_strong_correctness(
             )
         return found
 
-    return _shared_report(tally, len(pairs))
+    return _shared_report(tally, len(extra) + trials)
 
 
 def _shared_report(tally, count: int) -> CheckReport:

@@ -114,10 +114,21 @@ _SCHEMES = ("opf", "strengthened")
 _CERTIFIERS = {"signature": SignatureCertifier, "escrow": EscrowCertifier}
 _DISTS = DISTRIBUTION_FAMILIES + ("all",)
 _KEYSPACES = {"oracle": 32, "tiny": 2}  # keyspace -> base scheme coin bytes
+
+
+def _sq_tolerance_floor(ell, scheme, certifier, alpha):
+    """The floor of an ``sq`` run's oracle: ``tolerance_floor`` at the bit
+    length of the run's instances, its scheme's params plus its one
+    ciphertext length.  alpha comes last, so ``validate`` names it: at a
+    workable ell, only alpha can make the floor overflow."""
+    built = _build_scheme(ExperimentConfig("sq", ell=ell, scheme=scheme, certifier=certifier))
+    return tolerance_floor(8 * (built.params_len() + built.ciphertext_len()), alpha)
+
+
 # experiment -> the functions whose counts its runner derives, each taking
-# config fields by name; no bit length k can make the SQ floor raise, so k = 1
+# config fields by name
 _COUNTS = {"pac": [required_sample_size], "validsig": [required_sample_size],
-           "sq": [lambda alpha: tolerance_floor(1, alpha)], "trace": [capped_sample_count, dp_bound]}
+           "sq": [_sq_tolerance_floor], "trace": [capped_sample_count, dp_bound]}
 
 
 class ConfigError(ValueError):
@@ -210,6 +221,14 @@ class ExperimentConfig:
             raise ConfigError("xi", "must lie in (0, 1)")
         if not (0 <= self.eps <= 700):  # dp_bound needs a finite float e**eps
             raise ConfigError("eps", "must lie in [0, 700]")
+        for name, allowed in (
+            ("scheme", _SCHEMES),
+            ("certifier", tuple(_CERTIFIERS)),
+            ("dist", _DISTS),
+            ("keyspace", tuple(_KEYSPACES)),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(name, f"must be one of {allowed}")
         # each count the runner derives must exist: the count's parameters
         # (config fields) join the defaults in order, and the one whose value
         # makes the count raise is named
@@ -221,14 +240,6 @@ class ExperimentConfig:
                     count(**args)
                 except ArithmeticError as exc:  # overflow, or a square underflowed to 0
                     raise ConfigError(name, f"leaves a derived count non-finite ({exc})") from None
-        for name, allowed in (
-            ("scheme", _SCHEMES),
-            ("certifier", tuple(_CERTIFIERS)),
-            ("dist", _DISTS),
-            ("keyspace", tuple(_KEYSPACES)),
-        ):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(name, f"must be one of {allowed}")
         if self.experiment == "pac" and self.dist in ("pointmass", "all"):
             if 1 << self.ell < POINT_MASS_POINTS:
                 raise ConfigError(

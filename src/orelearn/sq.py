@@ -66,8 +66,14 @@ __all__ = [
 
 
 def tolerance_floor(k_bits: int, alpha: float) -> float:
-    """Minimum admissible tolerance: 1 / (64 * k * ceil(1/alpha))."""
-    return 1.0 / (64.0 * k_bits * math.ceil(1.0 / alpha))
+    """Minimum admissible tolerance: 1 / (64 * k * ceil(1/alpha)).
+
+    Raises OverflowError where the denominator is not a finite float, rather
+    than return a floor of 0.0 that admits every tolerance."""
+    denominator = 64.0 * k_bits * math.ceil(1.0 / alpha)
+    if math.isinf(denominator):
+        raise OverflowError(f"64 * k * ceil(1/alpha) overflows a float at k={k_bits}, alpha={alpha!r}")
+    return 1.0 / denominator
 
 
 class ViewQuery:

@@ -592,10 +592,45 @@ def _spliced_witness(scheme, key):
     return forged, scheme.enc(key.sk, (lo + hi) // 2)
 
 
+def _serial_strong_check(scheme, key, trials, rng, extra_pairs):
+    """The strong checker as one serial loop whose sampler encrypts each fuzz
+    ciphertext and then draws its mutation for the bytes it got: the
+    reference for the checker that draws every sample before it builds."""
+
+    def mutated(ct, kind):
+        if not ct and kind in ("bitflip", "truncate"):
+            return ct
+        if kind == "bitflip":
+            pos = int(rng.integers(0, len(ct) * 8))
+            b = bytearray(ct)
+            b[pos // 8] ^= 1 << (pos % 8)
+            return bytes(b)
+        if kind == "truncate":
+            return ct[: int(rng.integers(0, len(ct)))]
+        return bytes(rng.bytes(int(rng.integers(1, len(ct) + 16))))
+
+    def sample():
+        cls = MUTATION_CLASSES[int(rng.integers(0, 4))]
+        ct = scheme.enc(key.sk, int(rng.integers(0, scheme.domain_size)))
+        return (ct if cls == "valid" else mutated(ct, cls)), cls
+
+    pairs = [(c0, c1, "witness") for c0, c1 in extra_pairs]
+    for _ in range(trials):
+        (c0, cls0), (c1, cls1) = sample(), sample()
+        pairs.append((c0, c1, f"{cls0}+{cls1}"))
+    report = core.CheckReport(checked=len(pairs))
+    for c0, c1, cls in pairs:
+        pub, ref = scheme.comp(key.params, c0, c1), comp_ciph(scheme, key.sk, c0, c1)
+        if pub is not ref:
+            report.add_failure({"class": cls, "comp": str(pub), "comp_ciph": str(ref)}, cls)
+    return report
+
+
 def _sweeps(kind: str, pairs: int, workers: int):
     """Both checkers' reports over ``pairs`` pairs (the strong one plus the
     witness for opf) with ``workers`` processes, and a draw from where the
-    strong sampler left its rng."""
+    strong sampler left its rng; the strong report and that draw are checked
+    against the serial reference's."""
     scheme = _CHECKED[kind]
     key = _fresh_key(scheme, bytes(range(32)))
     extra = [_spliced_witness(scheme, key)] if kind == "opf" else []
@@ -604,14 +639,18 @@ def _sweeps(kind: str, pairs: int, workers: int):
         weak = check_weak_correctness(scheme, [(i % 5, 3 * i % 7) for i in range(pairs)], key)
         strong = check_strong_correctness(scheme, key, pairs, rng, extra_pairs=extra)
     assert len(forks) == _forks(workers, pairs) + _forks(workers, pairs + len(extra))
-    return weak, strong, rng.integers(0, 2**63)
+    ref_rng = np.random.default_rng(pairs)
+    ref = _serial_strong_check(scheme, _fresh_key(scheme, bytes(range(32))), pairs, ref_rng, extra)
+    left = rng.integers(0, 2**63)
+    assert _report(strong) == _report(ref) and left == ref_rng.integers(0, 2**63)
+    return weak, strong, left
 
 
 def _report(report: core.CheckReport):
     return report.checked, report.failures, list(report.counts_by_class.items())
 
 
-@pytest.mark.parametrize("pairs", [0, 1, 2, 40])
+@pytest.mark.parametrize("pairs", [0, 1, 2, 40, 300])
 @pytest.mark.parametrize("kind", sorted(_CHECKED))
 def test_correctness_checkers_give_the_serial_report_on_every_process_count(kind, pairs):
     weak, strong, left = _sweeps(kind, pairs, 1)

@@ -78,6 +78,9 @@ def test_exit_code_2_on_missing_drop_index():
         (["trace", "--xi", "1e-320", "--trials", "0"], "xi"),
         (["trace", "--n", str(10**200), "--trials", "0"], "n"),
         (["trace", "--n", str(10**400), "--k-cap", "3", "--trials", "0"], "n"),
+        # 1/alpha is finite, but the floor at the run's bit length is not
+        (["sq", "--alpha", "1e-306", "--trials", "1"], "alpha"),
+        (["sq", "--alpha", "5e-304", "--ell", "62", "--certifier", "signature", "--trials", "1"], "alpha"),
     ],
 )
 def test_exit_code_2_on_bad_flag_value(argv, field, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orelearn import core
 from orelearn.core import (
     BOT,
     MUTATION_CLASSES,
@@ -146,6 +147,25 @@ def test_strong_correctness_checker_counts_by_class(rng):
     assert sum(report.counts_by_class.values()) == len(report.failures)
     # honest pairs never disagree for a weakly correct scheme
     assert report.counts_by_class.get("valid+valid", 0) == 0
+
+
+class _LengthByMessage(OpfOre):
+    """Pads each ciphertext with m % 3 zero bytes, so its length depends on
+    the message, against the one-length contract of ``OreScheme``."""
+
+    def _seal(self, sk, t, payload):
+        return super()._seal(sk, t, payload) + bytes(payload % 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_strong_checker_refuses_a_scheme_of_many_ciphertext_lengths(cpus, monkeypatch):
+    # its mutations were drawn for the encryption of 0; a pair built from a
+    # longer encryption would be another pair, so it raises instead
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    scheme = _LengthByMessage(ell=8)
+    key = scheme.gen_from_coins(bytes(32))
+    with pytest.raises(ValueError, match=r"is 3[01] bytes, but the key's encryption of 0 is 29"):
+        check_strong_correctness(scheme, key, trials=20, rng=np.random.default_rng(0))
 
 
 @given(st.binary(min_size=1, max_size=64), st.integers(0, 2**32 - 1))

@@ -98,6 +98,13 @@ def test_tolerance_floor_formula():
     assert tolerance_floor(1000, 0.05) == 1.0 / (64 * 1000 * 20)
 
 
+@pytest.mark.parametrize("k_bits, alpha", [(3200, 1e-306), (1, 5e-324)])
+def test_tolerance_floor_raises_rather_than_reach_zero(k_bits, alpha):
+    # 1 / inf would be a floor of 0.0, which admits every tolerance
+    with pytest.raises(OverflowError):
+        tolerance_floor(k_bits, alpha)
+
+
 def test_bit_of_msb_first():
     assert [bit_of(b"\x80", i) for i in range(8)] == [1, 0, 0, 0, 0, 0, 0, 0]
     assert bit_of(b"\x00\x01", 15) == 1

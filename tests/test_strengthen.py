@@ -250,7 +250,7 @@ def test_ciphertext_layout_is_length_prefixed(rng):
 # -- arbitrary bytes -------------------------------------------------------------
 
 _BYTE_KEYS = {
-    "opf": (lambda: OpfOre(ell=8)),
+    "opf": (lambda ell=8: OpfOre(ell=ell)),
     "escrow": _escrow_scheme,
     "signature": _sig_scheme,
 }
@@ -283,3 +283,19 @@ def test_dec_and_comp_take_arbitrary_bytes(kind, data):
     assert got is BOT or isinstance(got, Ordering3)
     if kind != "opf":
         assert got is comp_ciph(scheme, key.sk, c0, c1)
+
+
+# -- one ciphertext length per scheme ----------------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(1, 64), coins=st.binary(min_size=32, max_size=32), data=st.data())
+def test_every_honest_ciphertext_has_the_one_length(kind, ell, coins, data):
+    # the strong checker's FuzzPairSampler draws its mutations for this length
+    # before it encrypts, and the sq config check reads it off the zero-coins key
+    scheme = _BYTE_KEYS[kind](ell)
+    sk = scheme.gen_from_coins(coins).sk
+    ms = data.draw(st.lists(st.integers(0, scheme.domain_size - 1), max_size=8))
+    cts = scheme.enc_many(sk, ms) + [scheme.enc(sk, m) for m in (0, scheme.domain_size - 1)]
+    assert {len(ct) for ct in cts} == {scheme.ciphertext_len()}
