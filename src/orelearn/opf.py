@@ -29,6 +29,13 @@ The payload mask is a keyed hash of the order tag; the 128-bit auth tag is
 a keyed hash over (tag || masked) so any modified byte fails verification
 except with probability 2**-128.  Encryption is deterministic: the
 strengthening transformation requires a unique ciphertext per (sk, m).
+
+Each key carries two bounded memos of pure functions of the key: order
+tags by message (filled by ``tag_many``, at most ``TAG_MEMO_MAX`` + 1
+entries) and plaintexts by ciphertext (m or BOT, filled by ``dec`` alone,
+at most ``PLAIN_MEMO_MAX`` + 1 entries).  Encryption never fills the
+plaintext memo, so the first ``dec`` of every ciphertext, honest or not,
+runs the full check.  Every bytes-like ciphertext is read as its bytes.
 """
 
 from __future__ import annotations
@@ -38,10 +45,18 @@ from bisect import bisect_left
 
 from .core import BOT, KeyMaterial, Ordering3, OreScheme, PublicParams, compare_ints
 
-__all__ = ["OpfOre", "OpfSecretKey", "forge_spliced_ciphertext", "OPF_VERSION", "TAG_MEMO_MAX"]
+__all__ = [
+    "OpfOre",
+    "OpfSecretKey",
+    "forge_spliced_ciphertext",
+    "OPF_VERSION",
+    "TAG_MEMO_MAX",
+    "PLAIN_MEMO_MAX",
+]
 
 OPF_VERSION = 0x01
 TAG_MEMO_MAX = 1 << 18  # a key's tag memo is cleared once it holds more entries
+PLAIN_MEMO_MAX = 4096  # a key's plaintext memo is cleared once it holds more entries
 _MASKED_LEN = 8
 _AUTH_LEN = 16
 
@@ -50,12 +65,14 @@ class OpfSecretKey:
     """Key material for the tag/payload construction.
 
     Holds three independent keyed-hash keys (tag descent, payload mask,
-    payload auth) derived from the master key bytes, plus a bounded memo of
-    full order tags.  The memo caches a pure function of the key, so
-    behaviour stays deterministic.
+    payload auth) derived from the master key bytes, plus two bounded memos:
+    full order tags by message (``_tags``, filled by ``OpfOre.tag_many``)
+    and ``OpfOre.dec``'s answers by ciphertext bytes (``_plains``, m or
+    BOT, filled only by ``dec``).  Each caches a pure function of the key,
+    so behaviour stays deterministic, and each dies with its key.
     """
 
-    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags", "__weakref__")
+    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags", "_plains", "__weakref__")
 
     def __init__(self, key: bytes, ell: int):
         self.key = key
@@ -64,6 +81,7 @@ class OpfSecretKey:
         self._h_mask = hashlib.blake2b(key + b"\x02", digest_size=_MASKED_LEN)
         self._h_auth = hashlib.blake2b(key + b"\x03", digest_size=_AUTH_LEN)
         self._tags: dict[int, int] = {}
+        self._plains: dict[bytes, object] = {}
 
     def split_fraction(self, depth: int, prefix: int) -> int:
         """Pseudorandom 128-bit value of the descent node (depth, prefix).
@@ -203,7 +221,24 @@ class OpfOre(OreScheme):
     def dec(self, sk: OpfSecretKey, ct: bytes):
         """m if ct is exactly ``enc(sk, m)``, else BOT: the auth tag must hold,
         m be in the domain and ``tag(sk, m)`` be ct's tag, which fixes the
-        mask too, so ``enc(sk, dec(sk, ct)) == ct`` whenever dec succeeds."""
+        mask too, so ``enc(sk, dec(sk, ct)) == ct`` whenever dec succeeds.
+
+        A bytes-like ct is read as its bytes.  The first full check of a
+        ciphertext stores its answer in the key's plaintext memo, and a
+        repeat is answered from there.
+        """
+        if type(ct) is not bytes:
+            ct = bytes(memoryview(ct))
+        plains = sk._plains
+        m = plains.get(ct)
+        if m is None:
+            m = self._full_check(sk, ct)
+            if len(plains) > PLAIN_MEMO_MAX:
+                plains.clear()
+            plains[ct] = m
+        return m
+
+    def _full_check(self, sk: OpfSecretKey, ct: bytes):
         parsed = self._parse(ct)
         if parsed is None:
             return BOT
@@ -224,10 +259,9 @@ class OpfOre(OreScheme):
         return compare_ints(self._lenient_tag(c0), self._lenient_tag(c1))
 
     def _lenient_tag(self, ct: bytes) -> int:
+        """ct's tag bytes, zero-padded on the right to the tag length."""
         body = ct[2 : 2 + self.tag_len]
-        if len(body) < self.tag_len:
-            body = body + b"\x00" * (self.tag_len - len(body))
-        return int.from_bytes(body, "big")
+        return int.from_bytes(body, "big") << (8 * (self.tag_len - len(body)))
 
 
 def forge_spliced_ciphertext(

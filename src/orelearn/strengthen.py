@@ -13,9 +13,11 @@ correctness.
 A certifier's ``setup`` returns the proving key, a function
 ``certify(base_params, sigma, base_ct)``, and a verify key with
 ``verify(base_params, sigma, base_ct, cert)``: both take the statement's
-parsed fields (params' bytes, sigma, c').  Verdicts are memoized on each
-verify key by that field tuple plus the certificate, with at most
-``VERDICT_MEMO_MAX + 1`` entries per key.  Two certifiers are shipped:
+parsed fields (params' bytes, sigma, c').  A signature verify key
+memoizes its verdicts by that field tuple plus the certificate, with at
+most ``VERDICT_MEMO_MAX + 1`` entries per key.  An escrow verify key keeps
+no verdict memo: its verdict is a base decryption, which the base key's
+plaintext memo already answers.  Two certifiers are shipped:
 
 * ``SignatureCertifier`` — publicly verifiable: the certificate is an
   Ed25519 signature over the statement encoding of the fields, signed with
@@ -184,7 +186,7 @@ class _EscrowVerifyKey:
     def __init__(self, base: OreScheme, base_sk):
         self._base = base
         self._base_sk = base_sk
-        self.verdicts: dict[tuple, bool] = {}  # StrengthenedOre's memo of this key's verdicts
+        self.verdicts = None  # a repeat is answered by the base key's plaintext memo
 
     def serialize(self) -> bytes:
         # leaks the sealed key bytes; escrow mode is simulation-only
@@ -273,7 +275,10 @@ class StrengthenedOre(OreScheme):
         return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
 
     def parse(self, ct: bytes):
-        """Split a ciphertext into (base ciphertext, certificate); None if malformed."""
+        """Split a ciphertext, read as its bytes, into (base ciphertext,
+        certificate); None if malformed."""
+        if type(ct) is not bytes:
+            ct = bytes(memoryview(ct))
         if len(ct) < 2 or ct[0] != STRONG_VERSION or ct[1] != self.ell:
             return None
         fields = decode_blob(ct[2:], 2)
@@ -282,7 +287,8 @@ class StrengthenedOre(OreScheme):
         return fields[0], fields[1]
 
     def _verify(self, cert_vk, *fields: bytes) -> bool:
-        """``cert_vk.verify(*fields)`` through the key's bounded verdict memo.
+        """``cert_vk.verify(*fields)`` through the key's bounded verdict memo,
+        if it has one (an escrow key has none).
 
         Verification is a pure function of the key and the whole field
         tuple (base_params, sigma, base_ct, cert), so a memo keyed by that
@@ -290,6 +296,8 @@ class StrengthenedOre(OreScheme):
         with the key.
         """
         memo = cert_vk.verdicts
+        if memo is None:
+            return cert_vk.verify(*fields)
         hit = memo.get(fields)
         if hit is not None:
             return hit
@@ -315,8 +323,8 @@ class StrengthenedOre(OreScheme):
         """``[self.comp(params, c0, c1) for c0 in cts]`` with c1 parsed once
         and verified at most once.
 
-        Each c0 is parsed and its certificate verified through the verdict
-        memo, as a lone ``comp`` would; c1 is verified when the first c0
+        Each c0 is parsed and its certificate verified through ``_verify``,
+        as a lone ``comp`` would; c1 is verified when the first c0
         passes, and a c1 that fails refuses the rest of the batch.
         """
         p1 = self.parse(c1)

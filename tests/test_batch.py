@@ -4,9 +4,9 @@
 batches of ``estimate_bucket_probs``, and the forked children that
 ``core._tally_shared`` shares the estimator's buckets, the trial runners'
 trials and the correctness checkers' pairs with, are optimisations only,
-as are the bounded tag and verdict memos: every property here compares a
-batch with the per-item loop it replaces, or a memoized key with a fresh
-one.
+as are the bounded tag, plaintext and verdict memos: every property here
+compares a batch with the per-item loop it replaces, or a memoized key
+with a fresh one.
 """
 
 import contextlib
@@ -43,7 +43,7 @@ from orelearn.core import (
     mutate_ciphertext,
 )
 from orelearn.encthresh import ComparatorHypothesis, EncThreshConcept, Example, pac_learn
-from orelearn.opf import TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
+from orelearn.opf import PLAIN_MEMO_MAX, TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
 from orelearn.reident import ReidentState, draw_buckets, estimate_bucket_probs, gen_ex
 from orelearn.strengthen import (
     STRONG_VERSION,
@@ -208,7 +208,9 @@ def test_comp_many_refuses_everything_against_a_bad_anchor(rng):
 
 
 def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, monkeypatch):
-    scheme = _scheme("escrow", 8)
+    # the signature certifier's verdict memo; an escrow key keeps none (its
+    # repeats reach the base key's plaintext memo, counted in test_strengthen)
+    scheme = _scheme("signature", 8)
     key = scheme.gen(rng)
     ct, anchor = scheme.enc_many(key.sk, [5, 9])
     expected = [scheme.comp(key.params, ct, anchor)] * 4
@@ -286,11 +288,14 @@ def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monke
     verify = scheme._verify
 
     def tracked(cert_vk, *fields):
+        # an escrow verdict is a base dec, answered by the plaintext memo
         ok = verify(cert_vk, *fields)
-        sizes.append(len(cert_vk.verdicts))
+        memo = cert_vk._base_sk._plains if cert_vk.verdicts is None else cert_vk.verdicts
+        sizes.append(len(memo))
         return ok
 
     monkeypatch.setattr(strengthen, "VERDICT_MEMO_MAX", 3)
+    monkeypatch.setattr(opf, "PLAIN_MEMO_MAX", 3)
     monkeypatch.setattr(scheme, "_verify", tracked)
     assert answers(scheme.gen_from_coins(coins)) == expected
     assert max(sizes) == 4
@@ -308,6 +313,26 @@ def test_verdict_memo_dies_with_its_key(rng):
         scheme.comp_many(key.params, cts, cts[0])
         base_keys.append(weakref.ref(key.sk.base_sk))
         del key, cts
+    gc.collect()
+    assert [ref for ref in base_keys if ref() is not None] == []
+
+
+@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+def test_plaintext_memo_dies_with_its_key(certifier, rng):
+    # the memo is referred to by its key alone and holds only bytes and
+    # answers, so a finished key frees it
+    scheme = _scheme(certifier, 16)
+    base_keys = []
+    for _ in range(8):
+        key = scheme.gen(rng)
+        cts = scheme.enc_many(key.sk, rng.integers(0, scheme.domain_size, size=300).tolist())
+        for ct in cts[:100]:
+            scheme.dec(key.sk, ct)
+        scheme.comp_many(key.params, cts, cts[0])
+        base_sk = key.sk.base_sk
+        assert base_sk._plains and gc.get_referrers(base_sk._plains) == [base_sk]
+        base_keys.append(weakref.ref(base_sk))
+        del key, cts, base_sk
     gc.collect()
     assert [ref for ref in base_keys if ref() is not None] == []
 
@@ -723,19 +748,19 @@ def test_correctness_runner_gives_the_serial_report_on_every_process_count(schem
 # -- strong correctness across memo clears ---------------------------------------
 
 _KEY_LABELS = [(name, i) for name in sorted(_CERTIFIERS) for i in range(2)]
-_SHIPPED_BOUNDS = (TAG_MEMO_MAX, strengthen.VERDICT_MEMO_MAX)
+_SHIPPED_BOUNDS = (TAG_MEMO_MAX, PLAIN_MEMO_MAX, strengthen.VERDICT_MEMO_MAX)
 
 
 @contextlib.contextmanager
-def _memo_bounds(tags: int, verdicts: int):
+def _memo_bounds(tags: int, plains: int, verdicts: int):
     with mock.patch.object(opf, "TAG_MEMO_MAX", tags), mock.patch.object(
-        strengthen, "VERDICT_MEMO_MAX", verdicts
-    ):
+        opf, "PLAIN_MEMO_MAX", plains
+    ), mock.patch.object(strengthen, "VERDICT_MEMO_MAX", verdicts):
         yield
 
 
 class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
-    """Two keys under each certifier, with both memo bounds shrunk to 3.
+    """Two keys under each certifier, with all three memo bounds shrunk to 3.
 
     All four keys share one pool of ciphertexts: honest encryptions under
     each key, their mutations, spliced base ciphertexts under a zero, empty
@@ -750,7 +775,7 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self._bounds = _memo_bounds(3, 3)
+        self._bounds = _memo_bounds(3, 3, 3)
         self._bounds.__enter__()
 
     def teardown(self):
@@ -858,7 +883,9 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
         for label in labels:
             sk = self.keys[label].sk
             sk.base_sk._tags.clear()
-            sk.cert_vk.verdicts.clear()
+            sk.base_sk._plains.clear()
+            if sk.cert_vk.verdicts is not None:  # an escrow key keeps none
+                sk.cert_vk.verdicts.clear()
 
     @rule(
         label=st.sampled_from(_KEY_LABELS),
@@ -899,7 +926,9 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
     def memos_stay_bounded(self):
         for key in self.keys.values():
             assert len(key.sk.base_sk._tags) <= opf.TAG_MEMO_MAX + 1
-            assert len(key.sk.cert_vk.verdicts) <= strengthen.VERDICT_MEMO_MAX + 1
+            assert len(key.sk.base_sk._plains) <= opf.PLAIN_MEMO_MAX + 1
+            verdicts = key.sk.cert_vk.verdicts
+            assert verdicts is None or len(verdicts) <= strengthen.VERDICT_MEMO_MAX + 1
 
 
 SchemeAgainstMemoFreeTwin.TestCase.settings = settings(

@@ -12,7 +12,7 @@ from orelearn.core import (
     comp_ciph,
     mutate_ciphertext,
 )
-from orelearn.opf import OpfOre, forge_spliced_ciphertext
+from orelearn.opf import OpfOre, OpfSecretKey, forge_spliced_ciphertext
 
 
 def test_tag_monotone_exhaustive_ell8_ten_keys(rng):
@@ -190,6 +190,36 @@ def test_dec_rejects_wrong_key_ciphertexts(rng):
     k1, k2 = scheme.gen(rng), scheme.gen(rng)
     for m in (0, 1, 9999, 65535):
         assert scheme.dec(k2.sk, scheme.enc(k1.sk, m)) is BOT
+
+
+# -- the plaintext memo --------------------------------------------------------
+
+
+def test_encryption_leaves_the_plaintext_memo_empty(rng):
+    # only dec fills it, so the first dec of an honest ciphertext is a full check
+    scheme = OpfOre(ell=16)
+    key = scheme.gen(rng)
+    scheme.enc_many(key.sk, rng.integers(0, scheme.domain_size, size=64).tolist())
+    scheme.enc(key.sk, 5)
+    assert key.sk._tags and key.sk._plains == {}
+
+
+def test_dec_fully_checks_each_ciphertext_once(rng, monkeypatch):
+    # the full check is the only auth-tag computation dec makes
+    scheme = OpfOre(ell=8)
+    key = scheme.gen(rng)
+    honest = scheme.enc_many(key.sk, [3, 3, 7, 200])
+    spliced = forge_spliced_ciphertext(scheme, key.sk, tag_of=7, payload_of=3)
+    bad_auth = honest[0][:-1] + bytes([honest[0][-1] ^ 1])
+    cts = honest + [spliced, bad_auth, spliced]
+    checks = []
+    auth = OpfSecretKey.auth
+    monkeypatch.setattr(OpfSecretKey, "auth", lambda *a: checks.append(a) or auth(*a))
+    first = [scheme.dec(key.sk, ct) for ct in cts]
+    assert first == [3, 3, 7, 200, BOT, BOT, BOT]
+    assert len(checks) == len(set(cts)) == 5
+    assert [scheme.dec(key.sk, ct) for ct in cts] == first
+    assert len(checks) == 5
 
 
 @settings(max_examples=200, deadline=None)

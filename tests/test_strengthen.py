@@ -1,20 +1,24 @@
 """The weak-to-strong conversion: commitments, certifiers, and the identity
 comp == decrypt-then-compare on arbitrary bytes."""
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings, strategies as st
 
 from orelearn.core import (
     BOT,
+    MUTATION_CLASSES,
     Ordering3,
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
     decode_blob,
     encode_blob,
+    mutate_ciphertext,
 )
-from orelearn.opf import OpfOre, forge_spliced_ciphertext
+from orelearn import core
+from orelearn.opf import OpfOre, OpfSecretKey, forge_spliced_ciphertext
 from orelearn.strengthen import (
     STRONG_VERSION,
     EscrowCertifier,
@@ -172,6 +176,32 @@ def test_strong_correctness_fuzz(make, rng):
     assert report.passed, report.counts_by_class
 
 
+@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
+def test_strong_checker_fully_checks_each_honest_ciphertext_once(kind, rng, monkeypatch):
+    # a base ciphertext's first dec is its one full check (one auth tag not
+    # made by _seal); every later dec, verification or comparison of it
+    # reads the key's plaintext memo
+    scheme = _BYTE_KEYS[kind]()
+    key = scheme.gen(rng)
+    cts = scheme.enc_many(key.sk, rng.integers(0, 256, size=40).tolist())
+    pairs = list(zip(cts, cts[1:] + cts[:1])) + list(zip(cts, cts))
+    calls = {"auth": 0, "seal": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(OpfSecretKey, "auth", counted("auth", OpfSecretKey.auth))
+    monkeypatch.setattr(OpfOre, "_seal", counted("seal", OpfOre._seal))
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    report = check_strong_correctness(scheme, key, trials=0, rng=rng, extra_pairs=pairs)
+    assert report.passed and report.checked == len(pairs)
+    assert calls["auth"] - calls["seal"] == len(set(cts))
+
+
 def test_dec_with_zeroed_certificate_is_bot(rng):
     scheme = _sig_scheme()
     key = scheme.gen(rng)
@@ -283,6 +313,50 @@ def test_dec_and_comp_take_arbitrary_bytes(kind, data):
     assert got is BOT or isinstance(got, Ordering3)
     if kind != "opf":
         assert got is comp_ciph(scheme, key.sk, c0, c1)
+
+
+@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
+@pytest.mark.parametrize("like", [bytearray, memoryview])
+@settings(max_examples=40, deadline=None)
+@given(
+    ms=st.lists(st.integers(0, 255), min_size=2, max_size=5),
+    kinds=st.lists(st.sampled_from(MUTATION_CLASSES), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32),
+)
+def test_a_bytes_like_ciphertext_gets_the_answer_of_its_bytes(kind, like, ms, kinds, seed):
+    # dec, comp and comp_many answer a bytes-like ciphertext exactly as they
+    # answer bytes(ct), never with an exception; each key's memos are filled
+    # by the bytes first on one key and by the bytes-like first on the other
+    scheme = _BYTE_KEYS[kind]()
+    coins = bytes(range(32))
+    rng = np.random.default_rng(seed)
+    honest = scheme.enc_many(scheme.gen_from_coins(coins).sk, ms)
+    cts = [ct if k == "valid" else mutate_ciphertext(ct, k, rng) for ct, k in zip(honest, kinds)]
+    anchor = cts[-1]
+
+    def answers(key, wrap):
+        return (
+            [scheme.dec(key.sk, wrap(ct)) for ct in cts],
+            [scheme.comp(key.params, wrap(c0), wrap(anchor)) for c0 in cts],
+            scheme.comp_many(key.params, [wrap(ct) for ct in cts], wrap(anchor)),
+        )
+
+    plain_first, like_first = scheme.gen_from_coins(coins), scheme.gen_from_coins(coins)
+    expected = answers(plain_first, bytes)
+    assert answers(plain_first, like) == expected
+    assert answers(like_first, like) == expected
+    assert answers(like_first, bytes) == expected
+
+
+@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
+@pytest.mark.parametrize("value", [5, [1, 2, 3], "ab"])
+def test_dec_refuses_a_ciphertext_that_is_not_bytes_like(kind, value):
+    # only the buffer protocol reads as bytes: bytes(5) would be five zero
+    # bytes and bytes([1, 2, 3]) a ciphertext, so both stay a TypeError
+    scheme = _BYTE_KEYS[kind]()
+    key = scheme.gen_from_coins(bytes(range(32)))
+    with pytest.raises(TypeError):
+        scheme.dec(key.sk, value)
 
 
 # -- one ciphertext length per scheme ----------------------------------------------
