@@ -1,4 +1,5 @@
-"""Core order-revealing encryption (ORE) interface and correctness checkers.
+"""Core order-revealing encryption (ORE) interface and the weak and strong
+correctness checkers.
 
 An ORE scheme is a tuple of algorithms (gen, enc, dec, comp).  Keys are
 generated from an explicit coin string so that key material is a pure
@@ -15,9 +16,9 @@ Two reference comparators anchor the correctness notions:
 A scheme has *weakly correct comparison* when the public ``comp`` agrees
 with ``compare_ints`` on honestly generated ciphertexts, and *strongly
 correct comparison* when ``comp`` agrees with ``comp_ciph`` on arbitrary
-byte strings, including malformed ones.  The checker functions in this
-module make both notions executable: they sweep message sets or fuzzed
-ciphertext pairs and report every disagreement.
+byte strings, including malformed ones.  ``check_weak_correctness`` and
+``check_strong_correctness`` make both notions executable: they sweep honest
+message pairs or fuzzed ciphertext pairs and report every disagreement.
 
 Ciphertext wire format: every ciphertext starts with a one-byte scheme
 version tag followed by a one-byte plaintext bit length; the body is
@@ -52,7 +53,6 @@ __all__ = [
     "comp_ciph",
     "compare_ints",
     "CheckReport",
-    "check_decryption_correctness",
     "check_weak_correctness",
     "check_strong_correctness",
     "FuzzPairSampler",
@@ -235,25 +235,6 @@ class CheckReport:
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}: {len(self.failures)} failures / {self.checked} checks"
-
-
-def check_decryption_correctness(
-    scheme: OreScheme,
-    message_set: Iterable[int],
-    keys: int,
-    rng: np.random.Generator,
-) -> CheckReport:
-    """Verify dec(enc(m)) == m for every message under ``keys`` fresh keys."""
-    messages = list(message_set)
-    report = CheckReport()
-    for _ in range(keys):
-        key = scheme.gen(rng)
-        for m, ct in zip(messages, scheme.enc_many(key.sk, messages)):
-            got = scheme.dec(key.sk, ct)
-            report.checked += 1
-            if got is BOT or got != m:
-                report.add_failure({"m": m, "got": got, "coins": key.coins.hex()})
-    return report
 
 
 def check_weak_correctness(

@@ -110,12 +110,6 @@ class AllZeroesHypothesis:
     def evaluate(self, example: Example) -> int:
         return 0
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
-    def __repr__(self):
-        return "AllZeroesHypothesis()"
-
 
 class ComparatorHypothesis:
     """Accepts examples whose ciphertext compares <= to the anchor ciphertext
@@ -153,9 +147,6 @@ class ComparatorHypothesis:
             "anchor": self.anchor.hex(),
         }
 
-    def __repr__(self):
-        return f"ComparatorHypothesis(anchor={self.anchor[:8].hex()}...)"
-
 
 class DecryptThresholdHypothesis:
     """Accepts examples that decrypt below a threshold under a held key.
@@ -190,12 +181,6 @@ class DecryptThresholdHypothesis:
 
     def evaluate(self, example: Example) -> int:
         return self.accepts(self.decrypt(example))
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": self.params.data.hex(), "t": self.t}
-
-    def __repr__(self):
-        return f"DecryptThresholdHypothesis(t={self.t})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,15 @@
 """Executable indistinguishability games for ORE schemes.
 
-Two challenge shapes are supported.  In the *static* game the adversary
-submits two strictly ascending message sequences of equal length and must
-tell which one was encrypted.  In the *single-challenge* game it submits
-one ascending sequence plus a pair of challenge messages sandwiched
-strictly between two consecutive sequence elements, and must tell which
-challenge message was encrypted.  The two notions are equivalent up to a
-polynomial loss through a hybrid schedule of 2q+1 intermediate vectors,
-each adjacent pair differing in at most one position; ``hybrid_schedule``
-materializes that schedule so its combinatorial properties can be tested.
+In the *static* game the adversary submits two strictly ascending message
+sequences of equal length and must tell which one was encrypted.
+``hybrid_schedule`` materializes the 2q+1 intermediate vectors that link
+the two sides, each adjacent pair differing in at most one position, so
+its combinatorial properties can be tested; its docstring states the
+single-challenge notion that the schedule reduces the static one to.
 
-The runners estimate the adversary's advantage |Pr[guess=1 | b=0] -
-Pr[guess=1 | b=1]| over seeded trials with a normal-approximation 95%
-confidence interval.  Negligible-advantage claims are mapped to fixed
+``run_static_game`` estimates the adversary's advantage
+|Pr[guess=1 | b=0] - Pr[guess=1 | b=1]| over seeded trials with a
+normal-approximation 95% confidence interval.  Negligible-advantage claims are mapped to fixed
 smoke thresholds, not proofs.
 
 ``ReductionAdversary`` implements the reduction that turns any
@@ -41,10 +38,8 @@ from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 
 __all__ = [
     "ChallengePair",
-    "SingleChallenge",
     "GameReport",
     "run_static_game",
-    "run_single_challenge_game",
     "hybrid_schedule",
     "adversary_success_prob",
     "ReductionAdversary",
@@ -84,30 +79,6 @@ class ChallengePair:
         return len(self.left)
 
 
-@dataclass(frozen=True)
-class SingleChallenge:
-    """Ascending base sequence plus a sandwiched challenge message pair."""
-
-    messages: tuple
-    m_left: int
-    m_right: int
-
-    def validate(self, domain_size: int):
-        ms = self.messages
-        if len(ms) < 2:
-            raise ValueError("single-challenge game needs q >= 2 base messages")
-        _check_ascending(ms, domain_size, "base")
-        _check_ascending((self.m_left, self.m_right), domain_size, "challenge")
-        # the pair must sit strictly between two consecutive base messages;
-        # challenges hanging off either end are rejected rather than guessed at
-        ok = any(
-            ms[i] < self.m_left and self.m_right < ms[i + 1]
-            for i in range(len(ms) - 1)
-        )
-        if not ok:
-            raise ValueError("challenge pair is not sandwiched between base messages")
-
-
 @dataclass
 class GameReport:
     p_guess1_given_b0: float
@@ -118,14 +89,20 @@ class GameReport:
     transcripts: "list[dict] | None" = None  # trial, bit, guess, win, then the flags
 
 
-def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameReport:
-    """The trial loop shared by both games.
+def run_static_game(
+    scheme: OreScheme,
+    adversary,
+    trials: int,
+    rng: np.random.Generator,
+    keep_transcripts: bool = False,
+) -> GameReport:
+    """Static (many-message) indistinguishability experiment.
 
     Per trial: the adversary picks a challenge, then the bit and the key are
-    drawn and ``encrypt(sk, challenge, bit)`` gives the ciphertext arguments
-    that ``adversary.guess`` receives between the params and the rng.  The
-    report is computed from one record per trial: (bit, guess, a copy of
-    the adversary's ``transcript_flags``).
+    drawn, the side the bit names is encrypted, and ``adversary.guess``
+    receives the params, the ciphertexts and the rng.  The report is
+    computed from one record per trial: (bit, guess, a copy of the
+    adversary's ``transcript_flags``).
     """
     records = []
     for _ in range(trials):
@@ -133,7 +110,8 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
         challenge.validate(scheme.domain_size)
         bit = int(rng.integers(0, 2))
         key = scheme.gen(rng)
-        guess = int(adversary.guess(key.params, *encrypt(key.sk, challenge, bit), rng))
+        side = challenge.left if bit == 0 else challenge.right
+        guess = int(adversary.guess(key.params, scheme.enc_many(key.sk, side), rng))
         records.append((bit, guess, dict(getattr(adversary, "transcript_flags", None) or {})))
     by_bit = [[g for b, g, _ in records if b == bit] for bit in (0, 1)]
     # a bit that was never drawn has no rate, so neither has the advantage
@@ -158,39 +136,6 @@ def _play(scheme, adversary, trials, rng, keep_transcripts, encrypt) -> GameRepo
     )
 
 
-def run_static_game(
-    scheme: OreScheme,
-    adversary,
-    trials: int,
-    rng: np.random.Generator,
-    keep_transcripts: bool = False,
-) -> GameReport:
-    """Static (many-message) indistinguishability experiment."""
-
-    def encrypt(sk, challenge: ChallengePair, bit: int):
-        side = challenge.left if bit == 0 else challenge.right
-        return (scheme.enc_many(sk, side),)
-
-    return _play(scheme, adversary, trials, rng, keep_transcripts, encrypt)
-
-
-def run_single_challenge_game(
-    scheme: OreScheme,
-    adversary,
-    trials: int,
-    rng: np.random.Generator,
-    keep_transcripts: bool = False,
-) -> GameReport:
-    """Single-challenge indistinguishability experiment."""
-
-    def encrypt(sk, challenge: SingleChallenge, bit: int):
-        m = challenge.m_left if bit == 0 else challenge.m_right
-        *cts, ct = scheme.enc_many(sk, [*challenge.messages, m])
-        return cts, ct
-
-    return _play(scheme, adversary, trials, rng, keep_transcripts, encrypt)
-
-
 # ---------------------------------------------------------------------------
 # Hybrid schedule
 # ---------------------------------------------------------------------------
@@ -201,7 +146,11 @@ def hybrid_schedule(pair: ChallengePair) -> list[tuple]:
 
     Hybrid 0 is the left vector and hybrid 2q the right; every hybrid is
     ascending and adjacent hybrids differ in at most one position, so each
-    step is covered by single-challenge security.
+    step is covered by single-challenge security.  In the single-challenge
+    game the adversary submits one ascending sequence plus a pair of
+    messages sandwiched strictly between two consecutive elements, and must
+    tell which of the two was encrypted; through this schedule the static
+    notion follows from it with a polynomial loss.
     """
     left, right = pair.left, pair.right
     q = len(left)

@@ -259,7 +259,10 @@ class OpfOre(OreScheme):
         return compare_ints(self._lenient_tag(c0), self._lenient_tag(c1))
 
     def _lenient_tag(self, ct: bytes) -> int:
-        """ct's tag bytes, zero-padded on the right to the tag length."""
+        """ct's tag bytes, zero-padded on the right to the tag length.  A
+        bytes-like ct is read as its bytes, as ``dec`` reads it."""
+        if type(ct) is not bytes:
+            ct = bytes(memoryview(ct))
         body = ct[2 : 2 + self.tag_len]
         return int.from_bytes(body, "big") << (8 * (self.tag_len - len(body)))
 

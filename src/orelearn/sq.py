@@ -32,10 +32,6 @@ queries share one view, (params bytes, label), with two distinct values;
 its threshold queries share one view, the ``decrypt`` of the hypothesis
 it returns, so each support point is decrypted once per learner run, and
 the oracle scores that hypothesis from the same values.
-
-The functional-equivalence claim of step 3 is executable via
-``check_key_equivalence``, which sweeps all encryptions of the full
-domain under both keys plus a fuzz corpus.
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ import math
 
 import numpy as np
 
-from .core import MUTATION_CLASSES, CheckReport, KeyMaterial, OreScheme, PublicParams
-from .core import mutate_ciphertext
+from .core import KeyMaterial, OreScheme, PublicParams
 from .encthresh import (
     AllZeroesHypothesis,
     DecryptThresholdHypothesis,
@@ -60,7 +55,6 @@ __all__ = [
     "TinyKeyspaceRecovery",
     "KeyRecoveryError",
     "sq_learn",
-    "check_key_equivalence",
     "bit_of",
 ]
 
@@ -301,46 +295,3 @@ def sq_learn(
             hi = h.t - 1
     h.t = lo
     return h
-
-
-# ---------------------------------------------------------------------------
-# Functional equivalence of recovered keys
-# ---------------------------------------------------------------------------
-
-
-def check_key_equivalence(
-    scheme: OreScheme,
-    sk1,
-    sk2,
-    rng: np.random.Generator,
-    fuzz_trials: int = 2000,
-):
-    """Sweep for ciphertexts on which the two keys decrypt differently.
-
-    Covers every encryption of the full domain under both keys plus a
-    fuzzed corpus (mutants and random bytes).  Exhaustive over the domain,
-    so restricted to ell <= 12.
-    """
-    if scheme.ell > 12:
-        raise ValueError("domain sweep restricted to ell <= 12")
-    report = CheckReport()
-
-    def compare_on(ct: bytes, origin: str):
-        d1 = scheme.dec(sk1, ct)
-        d2 = scheme.dec(sk2, ct)
-        report.checked += 1
-        if d1 is not d2 and d1 != d2:
-            report.add_failure(
-                {"origin": origin, "dec1": str(d1), "dec2": str(d2)},
-                mutation_class=origin,
-            )
-
-    domain = range(scheme.domain_size)
-    for c1, c2 in zip(scheme.enc_many(sk1, domain), scheme.enc_many(sk2, domain)):
-        compare_on(c1, "enc-sk1")
-        compare_on(c2, "enc-sk2")
-    for _ in range(fuzz_trials):
-        m = int(rng.integers(0, scheme.domain_size))
-        kind = MUTATION_CLASSES[1 + int(rng.integers(0, 3))]  # any but "valid"
-        compare_on(mutate_ciphertext(scheme.enc(sk1, m), kind, rng), kind)
-    return report

@@ -51,7 +51,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .core import (
     BOT,
-    CheckReport,
     KeyMaterial,
     OreScheme,
     PublicParams,
@@ -61,7 +60,6 @@ from .core import (
 
 __all__ = [
     "commit",
-    "binding_check",
     "statement_bytes",
     "SignatureCertifier",
     "EscrowCertifier",
@@ -85,28 +83,12 @@ _COMMIT_LEN = 32
 def commit(value: bytes, randomness: bytes) -> bytes:
     """Keyed collision-resistant compression of (value, randomness).
 
-    Deterministic in both arguments.  Binding is computational in general;
-    ``binding_check`` verifies it exhaustively on small test domains.
+    Deterministic in both arguments.  Binding is computational: two values
+    sharing a commitment would be a keyed blake2b collision.
     """
     return hashlib.blake2b(
         encode_blob(value, randomness), key=b"ore-commit", digest_size=_COMMIT_LEN
     ).digest()
-
-
-def binding_check(values, randomness_values) -> CheckReport:
-    """Exhaustive collision search: no two distinct values may share a commitment."""
-    report = CheckReport()
-    seen: dict[bytes, bytes] = {}
-    for v in values:
-        for r in randomness_values:
-            c = commit(v, r)
-            report.checked += 1
-            prior = seen.get(c)
-            if prior is None:
-                seen[c] = v
-            elif prior != v:
-                report.add_failure({"value_a": prior.hex(), "value_b": v.hex()})
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from orelearn.core import (
     Bot,
     Ordering3,
     PublicParams,
-    check_decryption_correctness,
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
@@ -79,30 +78,13 @@ def test_comp_ciph_agrees_with_comp_plain_exhaustive_ell6(rng):
             assert comp_ciph(scheme, key.sk, cts[a], cts[b]) is compare_ints(a, b)
 
 
-def test_check_decryption_correctness_passes_full_domain(rng):
-    scheme = OpfOre(ell=8)
-    report = check_decryption_correctness(scheme, range(256), keys=1, rng=rng)
-    assert report.passed and report.checked == 256
-
-
 def test_check_decryption_correctness_many_keys(rng):
+    # dec(enc(m)) == m for 100 messages under each of 10 fresh keys
     scheme = OpfOre(ell=16)
-    ms = rng.integers(0, 2**16, size=100)
-    report = check_decryption_correctness(scheme, map(int, ms), keys=10, rng=rng)
-    assert report.passed and report.checked == 1000
-
-
-class _BrokenDecScheme(OpfOre):
-    """Negative control: decryption always answers 0."""
-
-    def dec(self, sk, ct):
-        return 0
-
-
-def test_check_decryption_correctness_detects_broken_scheme(rng):
-    report = check_decryption_correctness(_BrokenDecScheme(ell=8), range(1, 17), 1, rng)
-    assert not report.passed
-    assert len(report.failures) == 16
+    ms = [int(m) for m in rng.integers(0, 2**16, size=100)]
+    for _ in range(10):
+        key = scheme.gen(rng)
+        assert [scheme.dec(key.sk, ct) for ct in scheme.enc_many(key.sk, ms)] == ms
 
 
 class _InvertedCompScheme(OpfOre):

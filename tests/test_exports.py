@@ -43,6 +43,40 @@ def test_all_lists_exactly_the_public_names_the_module_defines(name):
     assert sorted(getattr(module, "__all__", ())) == sorted(public)
 
 
+def _names_used(tree) -> set:
+    """Every name that ``tree`` reads, looks up as an attribute or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # a public name that only tests reach is a test helper; a use inside the
+    # name's own top-level definition does not count
+    used = set()
+    for path in sorted((_ROOT / "src" / "orelearn").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+            used |= names
+    for path in sorted([*(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py")]):
+        used |= _names_used(ast.parse(path.read_text()))
+    unused = [
+        f"{name}.{attr}"
+        for name in _MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", ())
+        if attr not in used
+    ]
+    assert unused == []
+
+
 def test_importing_the_package_loads_no_submodule():
     # the package root holds only __version__; each name is imported from its module
     done = subprocess.run(

@@ -15,10 +15,8 @@ from orelearn.games import (
     PayloadBitAdversary,
     RandomGuessAdversary,
     ReductionAdversary,
-    SingleChallenge,
     adversary_success_prob,
     hybrid_schedule,
-    run_single_challenge_game,
     run_static_game,
     synthetic_reduction_win_rate,
 )
@@ -47,18 +45,6 @@ def test_challenge_pair_validation():
         ChallengePair((1, 2), (1, 99)).validate(16)  # out of domain
     with pytest.raises(ValueError):
         ChallengePair((), ()).validate(16)
-
-
-def test_single_challenge_sandwich_validation():
-    SingleChallenge((1, 10), 4, 6).validate(16)
-    with pytest.raises(ValueError):  # challenge before the first base message
-        SingleChallenge((5, 10), 1, 3).validate(16)
-    with pytest.raises(ValueError):  # challenge after the last base message
-        SingleChallenge((1, 5), 7, 9).validate(16)
-    with pytest.raises(ValueError, match="challenge sequence not strictly ascending"):
-        SingleChallenge((1, 10), 6, 6).validate(16)
-    with pytest.raises(ValueError):  # base message inside the sandwich window
-        SingleChallenge((1, 5, 10), 4, 6).validate(16)
 
 
 # -- hybrid schedule -----------------------------------------------------------
@@ -234,36 +220,6 @@ def test_escrow_leak_adversary_rejects_non_escrow_params(rng):
         key = scheme.gen(rng)
         with pytest.raises(ValueError):
             adversary.guess(key.params, [scheme.enc(key.sk, 100)], rng)
-
-
-def test_single_challenge_random_guesser(rng):
-    class Rand:
-        def choose_challenge(self, rng):
-            return SingleChallenge((10, 1000), 200, 300)
-
-        def guess(self, params, cts, cstar, rng):
-            return int(rng.integers(0, 2))
-
-    report = run_single_challenge_game(_scheme(), Rand(), 1500, rng)
-    assert report.advantage <= 0.05 + report.ci_halfwidth
-
-
-def test_single_challenge_leaked_key_decryptor_wins(rng):
-    base = OpfOre(ell=16)
-    scheme = StrengthenedOre(base, EscrowCertifier())
-
-    class Decryptor:
-        def choose_challenge(self, rng):
-            return SingleChallenge((10, 1000), 200, 300)
-
-        def guess(self, params, cts, cstar, rng):
-            blob = params.cert_vk.serialize()
-            sk = base.key_from_bytes(blob[len(b"escrow:") :])
-            base_ct, _ = scheme.parse(cstar)
-            return 0 if base.dec(sk, base_ct) == 200 else 1
-
-    report = run_single_challenge_game(scheme, Decryptor(), 200, rng)
-    assert report.advantage >= 0.9
 
 
 # -- the reduction adversary -----------------------------------------------------

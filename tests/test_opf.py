@@ -164,6 +164,31 @@ def test_comp_never_bot_even_on_garbage(rng):
         assert scheme.comp(key.params, blob, c) is not BOT
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    ct=st.one_of(st.integers(0, 255), st.binary(max_size=40)),
+    wrap=st.sampled_from([list, tuple, lambda ct: int.from_bytes(ct, "big"), bytes.hex]),
+    slot=st.sampled_from(["c0", "c1", "batch", "anchor"]),
+)
+def test_comp_refuses_a_ciphertext_that_is_not_bytes_like(ct, wrap, slot):
+    # comp reads a ciphertext as dec does: through the buffer protocol, so a
+    # list of byte values is a TypeError, not a ciphertext (bytes-like inputs
+    # are test_strengthen.py::test_a_bytes_like_ciphertext_gets_the_answer_of_its_bytes)
+    scheme = OpfOre(ell=8)
+    key = scheme.gen_from_coins(bytes(32))
+    if isinstance(ct, int):  # an honest ciphertext of that message
+        ct = scheme.enc(key.sk, ct)
+    bad, good = wrap(ct), scheme.enc(key.sk, 7)
+    calls = {
+        "c0": lambda: scheme.comp(key.params, bad, good),
+        "c1": lambda: scheme.comp(key.params, good, bad),
+        "batch": lambda: scheme.comp_many(key.params, [good, bad], good),
+        "anchor": lambda: scheme.comp_many(key.params, [good], bad),
+    }
+    with pytest.raises(TypeError):
+        calls[slot]()
+
+
 def test_spliced_forgery_is_strong_correctness_witness(rng):
     # tag of a high message spliced onto the payload of a low one: public
     # comparison orders it by tag while decryption refuses it
