@@ -22,7 +22,8 @@ plaintext memo already answers.  Two certifiers are shipped:
 * ``SignatureCertifier`` — publicly verifiable: the certificate is an
   Ed25519 signature over the statement encoding of the fields, signed with
   a key generated inside gen and kept in the secret key.  Soundness is
-  computational (forging a certificate means forging a signature).
+  computational (forging a certificate means forging a signature).  Its
+  backend, ``cryptography``, is imported on the first setup.
 * ``EscrowCertifier`` — simulation-only, perfectly sound: the certificate
   is empty and the verification key holds a sealed reference to the base
   secret key, used solely to decrypt the base ciphertext; no statement is
@@ -40,14 +41,9 @@ length-prefixed fields (params', sigma, c') in that order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from .core import (
     BOT,
@@ -101,13 +97,36 @@ def statement_bytes(base_params: bytes, sigma: bytes, base_ct: bytes) -> bytes:
     return b"ore-statement-v1" + encode_blob(base_params, sigma, base_ct)
 
 
+@functools.cache
+def _ed25519():
+    """``cryptography``'s (Ed25519PrivateKey, Ed25519PublicKey,
+    InvalidSignature), imported on the first call.
+
+    Its Rust/OpenSSL extension costs about 6 MB resident, so only the runs
+    that sign load it: ``SignatureCertifier.setup``, ``_SignatureVerifyKey``
+    and ``validsig.Ed25519Scheme`` call this, and an escrow or weak-scheme
+    run never does.  A ``correctness`` run sets its key up in the caller,
+    so the checkers' forked children inherit the loaded backend; forked
+    ``validsig`` trials set up their own keys, so each imports it in its
+    own process.
+    """
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+
+    return Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
+
+
 class SignatureCertifier:
     """Certificates are Ed25519 signatures over the statement encoding."""
 
     name = "signature"
 
     def setup(self, base: OreScheme, base_sk, seed: bytes):
-        sk = Ed25519PrivateKey.from_private_bytes(
+        private_key, _, _ = _ed25519()
+        sk = private_key.from_private_bytes(
             hashlib.blake2b(seed, key=b"cert-sign-seed", digest_size=32).digest()
         )
         vk = sk.public_key().public_bytes_raw()
@@ -125,17 +144,19 @@ class _SignatureVerifyKey:
 
     def __init__(self, vk_bytes: bytes):
         self.vk_bytes = vk_bytes
-        self._vk = Ed25519PublicKey.from_public_bytes(vk_bytes)
+        _, public_key, _ = _ed25519()
+        self._vk = public_key.from_public_bytes(vk_bytes)
         self.verdicts: dict[tuple, bool] = {}  # StrengthenedOre's memo of this key's verdicts
 
     def serialize(self) -> bytes:
         return b"sig:" + self.vk_bytes
 
     def verify(self, base_params: bytes, sigma: bytes, base_ct: bytes, cert: bytes) -> bool:
+        _, _, invalid_signature = _ed25519()
         try:
             self._vk.verify(cert, statement_bytes(base_params, sigma, base_ct))
             return True
-        except (InvalidSignature, ValueError):
+        except (invalid_signature, ValueError):
             return False
 
 
@@ -307,17 +328,17 @@ class StrengthenedOre(OreScheme):
 
         Each c0 is parsed and its certificate verified through ``_verify``,
         as a lone ``comp`` would; c1 is verified when the first c0
-        passes, and a c1 that fails refuses the rest of the batch.
+        passes, and a c1 that fails to parse or verify refuses the rest of
+        the batch.  Every c0 is still parsed, so one that is not bytes-like
+        raises ``TypeError`` whatever c1 is.
         """
         p1 = self.parse(c1)
-        if p1 is None:
-            return [BOT] * len(cts)
         base_params = params.base_params
 
         def verified(parsed) -> bool:
             return self._verify(params.cert_vk, base_params.data, params.sigma, *parsed)
 
-        anchor_ok = None  # c1's verdict, once some c0 needs it
+        anchor_ok = None if p1 is not None else False  # c1's verdict, once some c0 needs it
         out = []
         for c0 in cts:
             p0 = self.parse(c0)

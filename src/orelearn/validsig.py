@@ -10,25 +10,24 @@ was not in the sample amounts to winning a weak forgery game against the
 signature scheme, which is how tracing soundness is argued.
 
 The signature back-end is Ed25519 (deterministic signing and
-verification).  RFC 8032 verification rejects non-canonical scalars, so
-re-randomizing a signature on a queried message does not yield a new
-verifying pair; that structural strong-unforgeability check is exercised
-in the test suite.
+verification), imported from ``cryptography`` on first use.  RFC 8032
+verification rejects non-canonical scalars, so re-randomizing a signature
+on a queried message does not yield a new verifying pair; that structural
+strong-unforgeability check is exercised in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from .core import mutate_ciphertext
+from .strengthen import _ed25519
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 __all__ = [
     "Ed25519Scheme",
@@ -46,11 +45,13 @@ __all__ = [
 
 
 class Ed25519Scheme:
-    """Thin deterministic wrapper around Ed25519 signatures."""
+    """Thin deterministic wrapper around Ed25519 signatures; the backend is
+    imported on the first ``gen`` or ``ver`` (``strengthen._ed25519``)."""
 
     def gen(self, rng: np.random.Generator):
         seed = bytes(rng.bytes(32))
-        sk = Ed25519PrivateKey.from_private_bytes(seed)
+        private_key, _, _ = _ed25519()
+        sk = private_key.from_private_bytes(seed)
         vk = sk.public_key().public_bytes_raw()
         return sk, vk
 
@@ -58,10 +59,11 @@ class Ed25519Scheme:
         return sk.sign(message)
 
     def ver(self, vk: bytes, message: bytes, sig: bytes) -> bool:
+        _, public_key, invalid_signature = _ed25519()
         try:
-            Ed25519PublicKey.from_public_bytes(vk).verify(sig, message)
+            public_key.from_public_bytes(vk).verify(sig, message)
             return True
-        except (InvalidSignature, ValueError):
+        except (invalid_signature, ValueError):
             return False
 
 

@@ -121,6 +121,41 @@ def test_importing_the_cli_loads_no_numpy_random():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        ("", False),
+        ("trace --mode soundness --ell 16 --n 4 --trials 1 --k-cap 20 --drop-index 1", False),
+        ("sq --ell 4 --trials 1", False),
+        ("pac --ell 8 --trials 1", False),
+        ("correctness --certifier signature --ell 8 --trials 20", True),
+        # one trial runs in the caller, which then sets up the trial's key
+        ("validsig --mode trace --n 4 --trials 1", True),
+    ],
+    ids=["import", "trace", "sq", "pac", "correctness-signature", "validsig"],
+)
+def test_only_a_run_that_signs_loads_the_ed25519_backend(args, loaded):
+    # cryptography's extension costs about 6 MB resident, so it is imported
+    # on the first signature key setup and an escrow run never loads it
+    run = f"print(orelearn.cli.main({args.split()!r})); " if args else ""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, orelearn.cli; {run}"
+            "print(any(m.split('.')[0] == 'cryptography' for m in sys.modules))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    *_, status, crypto = [""] + done.stdout.splitlines()
+    assert crypto == str(loaded)
+    if args:
+        assert status == "0"
+
+
 def test_src_has_no_assert_and_no_numpy_beyond_the_random_stream():
     # invariants are explicit raises, so they survive python -O; numpy makes
     # the random stream and nothing else.  Both regexes are matched per line,

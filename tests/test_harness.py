@@ -284,6 +284,64 @@ def test_every_csv_row_is_as_wide_as_its_header(raw):
         assert [len(row) for row in rows] == [len(header)] * len(rows), body
 
 
+def _ascending(ell):
+    return st.lists(st.integers(0, (1 << ell) - 1), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def _small_raw_configs(draw):
+    # every field drawn, the sizes small; k_cap bounds the trace estimator's
+    # draws per bucket
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    ell = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 8))
+    keyspace = draw(st.sampled_from(["oracle", "tiny"]))
+    # the tiny keyspace is a 65,536-key search whatever the sizes, and under
+    # the signature certifier each key sets up an Ed25519 key: seconds a trial
+    certifiers = ["escrow"] if keyspace == "tiny" else ["escrow", "signature"]
+    # alpha and beta set the pac and validsig sample sizes; elsewhere any value
+    sized = experiment in ("pac", "validsig")
+    return {
+        "experiment": experiment,
+        "mode": draw(st.sampled_from(list(_MODES[experiment]))),
+        "lam": draw(st.integers(1, 256)),
+        "ell": ell,
+        "n": n,
+        "alpha": draw(st.floats(0.05 if sized else 0, 1, exclude_min=not sized, exclude_max=True)),
+        "beta": draw(st.floats(0.01 if sized else 0, 1, exclude_min=not sized, exclude_max=True)),
+        # mostly workable, sometimes near 0, where a derived count overflows
+        "gamma": draw(st.floats(0.01, 0.5) | st.floats(0, 0.5, exclude_min=True)),
+        "xi": draw(st.floats(0.001, 0.999) | st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        "eps": draw(st.floats(0, 700)),
+        "trials": draw(st.integers(0, 2)),
+        "seed": draw(st.integers(0, (1 << 64) - 1)),
+        "scheme": draw(st.sampled_from(["opf", "strengthened"])),
+        "certifier": draw(st.sampled_from(certifiers)),
+        "dist": draw(st.sampled_from(["uniform", "malformed", "wrongparams", "pointmass", "all"])),
+        "drop_index": draw(st.none() | st.integers(1, n)),
+        "k_cap": draw(st.integers(1, 20)),
+        "left": draw(_ascending(ell)),
+        "right": draw(_ascending(ell)),
+        "keyspace": keyspace,
+        "transcripts": draw(st.booleans()),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:n\\^2 = .* well-spacing:UserWarning")
+@settings(max_examples=80, deadline=None)
+@given(_small_raw_configs())
+def test_every_small_config_that_validates_runs_and_writes_csv(raw):
+    # a config that validates runs to a report whose CSV bodies parse
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    report = run(cfg)
+    for body in (report.csv_trials(), report.csv_summary()):
+        preamble, header, *_ = csv.reader(io.StringIO(body))
+        assert preamble[0] == CSV_SCHEMA_VERSION
+
+
 def test_sq_without_a_mode_writes_the_exact_mode_rows():
     # sq's None and "exact" are two spellings of one mode (ROADMAP item 5
     # drops None): equal bodies under different config hashes

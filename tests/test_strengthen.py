@@ -361,6 +361,24 @@ def test_dec_refuses_a_ciphertext_that_is_not_bytes_like(kind, value):
         scheme.dec(key.sk, value)
 
 
+@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
+@pytest.mark.parametrize("value", [5, "list", "ab"])
+@pytest.mark.parametrize("anchor", ["honest", "junk"])
+def test_comp_refuses_a_ciphertext_that_is_not_bytes_like_whatever_the_anchor(kind, value, anchor):
+    # every c0 is read as a buffer, so an anchor that does not parse must not
+    # turn a non-bytes-like c0 into BOT
+    scheme = _BYTE_KEYS[kind]()
+    key = scheme.gen_from_coins(bytes(range(32)))
+    ct = scheme.enc(key.sk, 3)
+    if value == "list":
+        value = list(ct)
+    c1 = ct if anchor == "honest" else b"junk"
+    with pytest.raises(TypeError):
+        scheme.comp(key.params, value, c1)
+    with pytest.raises(TypeError):
+        scheme.comp_many(key.params, [ct, value], c1)
+
+
 # -- one ciphertext length per scheme ----------------------------------------------
 
 
