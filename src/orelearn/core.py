@@ -137,13 +137,23 @@ class KeyMaterial:
 class OreScheme:
     """Interface for an ORE scheme over the domain {0, ..., 2**ell - 1}.
 
-    Concrete schemes fix ell at construction and are immutable
-    afterwards.  ``gen`` must be a deterministic function of the coin
-    string, ``enc``/``dec``/``comp`` deterministic functions of their
-    arguments.  Every honest ciphertext has one byte length, whatever the
-    message and, like the params, whatever the key: ``FuzzPairSampler``
-    draws its mutations for that length before it encrypts, and
-    ``ciphertext_len`` reads it off the key of all-zero coins.
+    Concrete schemes fix ell at construction and are immutable afterwards.
+    Every scheme keeps this contract, stated here once and tested one
+    property per rule in ``tests/test_contract.py``:
+
+    * ``gen_from_coins`` is deterministic; its params data is ``params_len()`` bytes.
+    * ``enc`` is deterministic: one ciphertext per (key, m), the same under
+      every key from the same coins, of one length, ``ciphertext_len()``.
+      ``enc_many`` over any iterable is per-item ``enc``.
+    * ``dec(sk, enc(sk, m)) == m``, and ``dec`` returns m only on the bytes
+      ``enc(sk, m)``; escrow verification relies on it.  (A strengthened
+      escrow ciphertext is unique only up to its ignored certificate.)
+    * ``dec`` and ``comp`` answer arbitrary bytes with a value or BOT, never
+      an exception; a strongly correct ``comp`` is ``comp_ciph``.
+    * A bytes-like ciphertext gets the answer of its bytes; anything else,
+      such as an int or a list, is a ``TypeError`` in any argument.
+    * ``comp_many(params, cts, c1)`` is per-item ``comp``, and on honest
+      ciphertexts ``comp`` is ``compare_ints`` of the messages.
     """
 
     ell: int
@@ -163,9 +173,7 @@ class OreScheme:
     def enc(self, sk, m: int) -> bytes:
         raise NotImplementedError
 
-    def enc_many(self, sk, ms: Sequence[int]) -> list[bytes]:
-        """``[self.enc(sk, m) for m in ms]``; schemes may batch the work but
-        must return the same bytes."""
+    def enc_many(self, sk, ms: Iterable[int]) -> list[bytes]:
         return [self.enc(sk, m) for m in ms]
 
     def dec(self, sk, ct: bytes) -> "int | Bot":
@@ -175,8 +183,6 @@ class OreScheme:
         raise NotImplementedError
 
     def comp_many(self, params: PublicParams, cts: Sequence[bytes], c1: bytes) -> list:
-        """``[self.comp(params, c0, c1) for c0 in cts]``: many ciphertexts
-        against one; schemes may batch the work but must return the same."""
         return [self.comp(params, c0, c1) for c0 in cts]
 
     def params_len(self) -> int:

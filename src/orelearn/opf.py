@@ -35,7 +35,7 @@ tags by message (filled by ``tag_many``, at most ``TAG_MEMO_MAX`` + 1
 entries) and plaintexts by ciphertext (m or BOT, filled by ``dec`` alone,
 at most ``PLAIN_MEMO_MAX`` + 1 entries).  Encryption never fills the
 plaintext memo, so the first ``dec`` of every ciphertext, honest or not,
-runs the full check.  Every bytes-like ciphertext is read as its bytes.
+runs the full check.
 """
 
 from __future__ import annotations
@@ -219,13 +219,12 @@ class OpfOre(OreScheme):
         return tag_bytes, masked, auth
 
     def dec(self, sk: OpfSecretKey, ct: bytes):
-        """m if ct is exactly ``enc(sk, m)``, else BOT: the auth tag must hold,
-        m be in the domain and ``tag(sk, m)`` be ct's tag, which fixes the
-        mask too, so ``enc(sk, dec(sk, ct)) == ct`` whenever dec succeeds.
+        """m if ct is exactly ``enc(sk, m)``, else BOT, as the ``OreScheme``
+        contract asks: the auth tag must hold, m be in the domain and
+        ``tag(sk, m)`` be ct's tag, which fixes the mask too.
 
-        A bytes-like ct is read as its bytes.  The first full check of a
-        ciphertext stores its answer in the key's plaintext memo, and a
-        repeat is answered from there.
+        The first full check of a ciphertext stores its answer in the key's
+        plaintext memo, and a repeat is answered from there.
         """
         if type(ct) is not bytes:
             ct = bytes(memoryview(ct))
@@ -259,8 +258,7 @@ class OpfOre(OreScheme):
         return compare_ints(self._lenient_tag(c0), self._lenient_tag(c1))
 
     def _lenient_tag(self, ct: bytes) -> int:
-        """ct's tag bytes, zero-padded on the right to the tag length.  A
-        bytes-like ct is read as its bytes, as ``dec`` reads it."""
+        """ct's tag bytes, zero-padded on the right to the tag length."""
         if type(ct) is not bytes:
             ct = bytes(memoryview(ct))
         body = ct[2 : 2 + self.tag_len]

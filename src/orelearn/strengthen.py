@@ -24,12 +24,12 @@ plaintext memo already answers.  Two certifiers are shipped:
   a key generated inside gen and kept in the secret key.  Soundness is
   computational (forging a certificate means forging a signature).  Its
   backend, ``cryptography``, is imported on the first setup.
-* ``EscrowCertifier`` — simulation-only, perfectly sound: the certificate
-  is empty and the verification key holds a sealed reference to the base
-  secret key, used solely to decrypt the base ciphertext; no statement is
-  encoded.  Its serialized form leaks the base key bytes to the harness;
-  never deploy it.  It ignores the certificate field, so a strengthened
-  escrow ciphertext is unique only up to that field.
+* ``EscrowCertifier`` — a simulation certifier, perfectly sound: the
+  certificate is empty and the verification key holds a sealed reference to
+  the base secret key, used solely to decrypt the base ciphertext; no
+  statement is encoded.  Its serialized form leaks the base key bytes
+  through the params; never deploy it.  It ignores the certificate field,
+  so a strengthened escrow ciphertext is unique only up to that field.
 
 Strengthened ciphertext layout (bit exact)::
 
@@ -161,14 +161,13 @@ class _SignatureVerifyKey:
 
 
 class EscrowCertifier:
-    """Test-only perfectly sound certifier.
+    """Simulation certifier, perfectly complete and sound; the CLI's default.
 
     The certificate is empty; verification holds the base secret key in
-    escrow and accepts exactly when the embedded base ciphertext decrypts.
-    That is membership in the range of enc'(sk', .) for a base scheme whose
-    ``dec`` returns m only on the bytes ``enc(sk, m)``, which this
-    certifier requires of the scheme it wraps (``OpfOre.dec`` holds it).
-    Perfectly complete and perfectly sound by construction.
+    escrow and accepts exactly when the embedded base ciphertext decrypts,
+    which is membership in the range of enc'(sk', .) because the base
+    ``dec`` keeps the ``OreScheme`` contract.  The verify key serializes the
+    base key into the params, which ``games --mode leak`` exploits.
     """
 
     name = "escrow"
@@ -209,7 +208,7 @@ class _EscrowVerifyKey:
 
 @dataclass(eq=False, slots=True)
 class StrongSecretKey:
-    """Base key plus commitment opening and both certifier keys.
+    """Base key, its params and commitment sigma, and both certifier keys.
 
     The verification key is kept here as well as in params (mirroring a
     common reference string available to both sides) so decryption can
@@ -219,7 +218,6 @@ class StrongSecretKey:
     base_sk: object
     base_params: PublicParams
     sigma: bytes
-    commit_rand: bytes
     certify: object
     cert_vk: object
 
@@ -247,14 +245,11 @@ class StrengthenedOre(OreScheme):
             return hashlib.blake2b(coins, key=label, digest_size=32).digest()
 
         base_key = self.base.gen_from_coins(sub(b"strong-base-coins"))
-        commit_rand = sub(b"strong-commit-rand")
-        sigma = commit(base_key.sk.key, commit_rand)
+        sigma = commit(base_key.sk.key, sub(b"strong-commit-rand"))
         certify, cert_vk = self.certifier.setup(
             self.base, base_key.sk, sub(b"strong-cert-seed")
         )
-        sk = StrongSecretKey(
-            base_key.sk, base_key.params, sigma, commit_rand, certify, cert_vk
-        )
+        sk = StrongSecretKey(base_key.sk, base_key.params, sigma, certify, cert_vk)
         params = StrongParams(
             data=encode_blob(base_key.params.data, sigma, cert_vk.serialize()),
             ell=base_key.params.ell,

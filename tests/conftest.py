@@ -5,7 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def make_rng(seed: int = 20240817) -> np.random.Generator:
-    return np.random.default_rng(seed)

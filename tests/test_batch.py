@@ -1,12 +1,15 @@
 """Batched and shared paths return exactly what the per-item calls return.
 
-``tag_many``/``enc_many``, ``comp_many``/``evaluate_many``, the per-bucket
-batches of ``estimate_bucket_probs``, and the forked children that
+``tag_many``, ``evaluate_many``, the per-bucket batches of
+``estimate_bucket_probs``, and the forked children that
 ``core._tally_shared`` shares the estimator's buckets, the trial runners'
 trials and the correctness checkers' pairs with, are optimisations only,
 as are the bounded tag, plaintext and verdict memos: every property here
 compares a batch with the per-item loop it replaces, or a memoized key
-with a fresh one.
+with a fresh one.  That ``enc_many`` and ``comp_many`` equal per-item
+``enc`` and ``comp`` is a rule of the ``OreScheme`` contract, tested in
+test_contract.py; the memo state machine checks it again across memo
+clears.
 """
 
 import contextlib
@@ -45,20 +48,8 @@ from orelearn.core import (
 from orelearn.encthresh import ComparatorHypothesis, EncThreshConcept, Example, pac_learn
 from orelearn.opf import PLAIN_MEMO_MAX, TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
 from orelearn.reident import ReidentState, draw_buckets, estimate_bucket_probs, gen_ex
-from orelearn.strengthen import (
-    STRONG_VERSION,
-    EscrowCertifier,
-    SignatureCertifier,
-    StrengthenedOre,
-)
-
-_CERTIFIERS = {"escrow": EscrowCertifier, "signature": SignatureCertifier}
-
-
-@functools.lru_cache(maxsize=None)
-def _scheme(kind: str, ell: int):
-    base = OpfOre(ell=ell)
-    return base if kind == "opf" else StrengthenedOre(base, _CERTIFIERS[kind]())
+from orelearn.strengthen import STRONG_VERSION, StrengthenedOre
+from test_contract import SCHEMES, STRENGTHENED, InvertedComp, build_scheme, forged
 
 
 def _fresh_key(scheme, coins: bytes):
@@ -84,7 +75,7 @@ _COINS = st.binary(min_size=32, max_size=32)
 @given(_batches(), _COINS)
 def test_opf_tag_many_equals_per_item_tag(batch, coins):
     ell, ms, memoized = batch
-    scheme = _scheme("opf", ell)
+    scheme = build_scheme("opf", ell)
     batch_sk = _fresh_key(scheme, coins).sk
     for m in ms[:memoized]:
         scheme.tag(batch_sk, m)
@@ -111,27 +102,15 @@ def _reference_tag(sk, ell: int, m: int) -> int:
 @given(_batches(), _COINS)
 def test_opf_tag_many_equals_the_reference_descent(batch, coins):
     ell, ms, memoized = batch
-    scheme = _scheme("opf", ell)
+    scheme = build_scheme("opf", ell)
     sk = _fresh_key(scheme, coins).sk
     for m in ms[:memoized]:
         scheme.tag(sk, m)
     assert scheme.tag_many(sk, ms) == [_reference_tag(sk, ell, m) for m in ms]
 
 
-@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
-@settings(max_examples=60, deadline=None)
-@given(batch=_batches(), coins=_COINS)
-def test_enc_many_equals_per_item_enc(kind, batch, coins):
-    ell, ms, _ = batch
-    scheme = _scheme(kind, ell)
-    batch_key, item_key = _fresh_key(scheme, coins), _fresh_key(scheme, coins)
-    expected = [scheme.enc(item_key.sk, m) for m in ms]
-    assert scheme.enc_many(batch_key.sk, ms) == expected
-    assert scheme.enc_many(_fresh_key(scheme, coins).sk, iter(ms)) == expected
-
-
 def test_tag_many_keeps_the_tag_memo_bounded():
-    scheme = _scheme("opf", 19)
+    scheme = build_scheme("opf", 19)
     sk = _fresh_key(scheme, bytes(32)).sk
     ms = list(range(TAG_MEMO_MAX + 5))
     tags = scheme.tag_many(sk, ms)
@@ -143,7 +122,7 @@ def test_tag_many_keeps_the_tag_memo_bounded():
 
 
 def test_tag_many_rejects_a_message_outside_the_domain():
-    scheme = _scheme("opf", 8)
+    scheme = build_scheme("opf", 8)
     with pytest.raises(ValueError):
         scheme.tag_many(_fresh_key(scheme, bytes(32)).sk, [3, 256])
 
@@ -154,17 +133,7 @@ _ANCHORS = ("honest", "mutated", "forged", "garbage")
 _EXAMPLES = ("honest", "bitflip", "truncate", "random", "foreign")
 
 
-def _forged(scheme, key, ell):
-    """A ciphertext that compares but does not decrypt: a spliced base
-    ciphertext, wrapped without a valid certificate when strengthened."""
-    top = (1 << ell) - 1
-    if isinstance(scheme, OpfOre):
-        return forge_spliced_ciphertext(scheme, key.sk, tag_of=top, payload_of=0)
-    base_ct = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=top, payload_of=0)
-    return bytes([STRONG_VERSION, ell]) + encode_blob(base_ct, b"\x00" * 64)
-
-
-@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
+@pytest.mark.parametrize("kind", SCHEMES)
 @settings(max_examples=40, deadline=None)
 @given(
     ell=st.integers(2, 20),
@@ -173,7 +142,7 @@ def _forged(scheme, key, ell):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluate_many_equals_per_item_evaluate(kind, ell, anchor_kind, kinds, seed):
-    scheme = _scheme(kind, ell)
+    scheme = build_scheme(kind, ell)
     rng = np.random.default_rng(seed)
     key, foreign = scheme.gen(rng), scheme.gen(rng)
     top = scheme.domain_size
@@ -182,7 +151,7 @@ def test_evaluate_many_equals_per_item_evaluate(kind, ell, anchor_kind, kinds, s
     if anchor_kind == "mutated":
         anchor = mutate_ciphertext(anchor, "bitflip", rng)
     elif anchor_kind == "forged":
-        anchor = _forged(scheme, key, ell)
+        anchor = forged(scheme, key.sk, (1 << ell) - 1, 0)
     elif anchor_kind == "garbage":
         anchor = bytes(rng.bytes(int(rng.integers(0, 40))))
 
@@ -200,34 +169,35 @@ def test_evaluate_many_equals_per_item_evaluate(kind, ell, anchor_kind, kinds, s
 
 
 def test_comp_many_refuses_everything_against_a_bad_anchor(rng):
-    scheme = _scheme("escrow", 8)
+    scheme = build_scheme("escrow", 8)
     key = scheme.gen(rng)
     cts = scheme.enc_many(key.sk, [1, 2, 3])
     assert scheme.comp_many(key.params, cts, b"\x02\x08junk") == [BOT] * 3
-    assert scheme.comp_many(key.params, cts, _forged(scheme, key, 8)) == [BOT] * 3
+    assert scheme.comp_many(key.params, cts, forged(scheme, key.sk, 255, 0)) == [BOT] * 3
 
 
 def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, monkeypatch):
     # the signature certifier's verdict memo; an escrow key keeps none (its
-    # repeats reach the base key's plaintext memo, counted in test_strengthen)
-    scheme = _scheme("signature", 8)
+    # repeats reach the base key's plaintext memo, counted by
+    # test_strengthen.py::test_strong_checker_fully_checks_each_honest_ciphertext_once)
+    scheme = build_scheme("signature", 8)
     key = scheme.gen(rng)
     ct, anchor = scheme.enc_many(key.sk, [5, 9])
     expected = [scheme.comp(key.params, ct, anchor)] * 4
     vk_type = type(key.params.cert_vk)
     checks, memo_lookups = [], []
-    verify, memo = vk_type.verify, scheme._verify
+    verify, memo = vk_type.verify, StrengthenedOre._verify
     monkeypatch.setattr(vk_type, "verify", lambda vk, *a: checks.append(a) or verify(vk, *a))
-    monkeypatch.setattr(scheme, "_verify", lambda *a: memo_lookups.append(a) or memo(*a))
+    monkeypatch.setattr(StrengthenedOre, "_verify", lambda *a: memo_lookups.append(a) or memo(*a))
     key.params.cert_vk.verdicts.clear()
     assert scheme.comp_many(key.params, [ct] * 4, anchor) == expected
     assert len(memo_lookups) == 5  # each of the 4 ciphertexts, and the anchor once
     assert len(checks) == 2  # ct once, then the anchor once; the rest are memo hits
 
 
-@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+@pytest.mark.parametrize("certifier", STRENGTHENED)
 def test_verdict_memo_is_keyed_by_the_verify_key(certifier, rng):
-    scheme = _scheme(certifier, 8)
+    scheme = build_scheme(certifier, 8)
     key_a, key_b = scheme.gen(rng), scheme.gen(rng)
     ct, anchor = scheme.enc_many(key_a.sk, [5, 9])
     assert scheme.comp(key_a.params, ct, anchor) is Ordering3.LT  # both verdicts memoized
@@ -241,7 +211,7 @@ def test_verdict_memo_is_keyed_by_the_verify_key(certifier, rng):
 def test_verdict_memo_is_keyed_by_every_statement_field(field, rng):
     # a signature verdict memoized under the honest (base params, sigma) must
     # not answer for the same cert_vk paired with another key's field
-    scheme = _scheme("signature", 8)
+    scheme = build_scheme("signature", 8)
     key_a, key_b = scheme.gen(rng), scheme.gen(rng)
     ct, anchor = scheme.enc_many(key_a.sk, [5, 9])
     assert scheme.dec(key_a.sk, ct) == 5
@@ -254,11 +224,11 @@ def test_verdict_memo_is_keyed_by_every_statement_field(field, rng):
     assert scheme.comp_many(params, [ct, anchor, ct], anchor) == [BOT] * 3
 
 
-@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+@pytest.mark.parametrize("certifier", STRENGTHENED)
 def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monkeypatch):
     # honest, mutated and spliced ciphertexts under one key; with the memo
     # bound shrunk to 3 it is cleared every few verifications
-    scheme = StrengthenedOre(OpfOre(ell=8), _CERTIFIERS[certifier]())
+    scheme = build_scheme(certifier)
     coins = bytes(rng.bytes(32))
     key = scheme.gen_from_coins(coins)
     honest = scheme.enc_many(key.sk, [3, 40, 41, 90, 128, 200, 254, 255])
@@ -266,14 +236,7 @@ def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monke
         mutate_ciphertext(ct, kind, rng)
         for ct, kind in zip(honest, ("bitflip", "bitflip", "truncate", "random"))
     ]
-    spliced = [
-        bytes([STRONG_VERSION, 8])
-        + encode_blob(
-            forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of, payload_of),
-            b"\x00" * 64,
-        )
-        for tag_of, payload_of in ((255, 0), (7, 100), (100, 7))
-    ]
+    spliced = [forged(scheme, key.sk, *pair) for pair in ((255, 0), (7, 100), (100, 7))]
     cts = honest + mutated + spliced
 
     def answers(key):
@@ -285,18 +248,18 @@ def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monke
 
     expected = answers(scheme.gen_from_coins(coins))
     sizes = []
-    verify = scheme._verify
+    verify = StrengthenedOre._verify
 
-    def tracked(cert_vk, *fields):
+    def tracked(self, cert_vk, *fields):
         # an escrow verdict is a base dec, answered by the plaintext memo
-        ok = verify(cert_vk, *fields)
+        ok = verify(self, cert_vk, *fields)
         memo = cert_vk._base_sk._plains if cert_vk.verdicts is None else cert_vk.verdicts
         sizes.append(len(memo))
         return ok
 
     monkeypatch.setattr(strengthen, "VERDICT_MEMO_MAX", 3)
     monkeypatch.setattr(opf, "PLAIN_MEMO_MAX", 3)
-    monkeypatch.setattr(scheme, "_verify", tracked)
+    monkeypatch.setattr(StrengthenedOre, "_verify", tracked)
     assert answers(scheme.gen_from_coins(coins)) == expected
     assert max(sizes) == 4
     assert sizes.count(1) > 1  # the memo was cleared, and refilled, more than once
@@ -305,7 +268,7 @@ def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monke
 def test_verdict_memo_dies_with_its_key(rng):
     # an escrow verify key holds its base secret key and that key's tag memo;
     # verdicts memoized under a finished key must not keep either alive
-    scheme = _scheme("escrow", 16)
+    scheme = build_scheme("escrow", 16)
     base_keys = []
     for _ in range(8):
         key = scheme.gen(rng)
@@ -317,11 +280,11 @@ def test_verdict_memo_dies_with_its_key(rng):
     assert [ref for ref in base_keys if ref() is not None] == []
 
 
-@pytest.mark.parametrize("certifier", sorted(_CERTIFIERS))
+@pytest.mark.parametrize("certifier", STRENGTHENED)
 def test_plaintext_memo_dies_with_its_key(certifier, rng):
     # the memo is referred to by its key alone and holds only bytes and
     # answers, so a finished key frees it
-    scheme = _scheme(certifier, 16)
+    scheme = build_scheme(certifier, 16)
     base_keys = []
     for _ in range(8):
         key = scheme.gen(rng)
@@ -400,7 +363,7 @@ def _forks(workers: int, items: int) -> int:
     batch=st.sampled_from([1, 3, 7, reident.ESTIMATE_BATCH]),
 )
 def test_estimator_batches_match_the_per_item_fallback(kind, ell, seed, n, k_cap, batch):
-    scheme = _scheme(kind, ell)
+    scheme = build_scheme(kind, ell)
 
     def run(estimator, workers=1):
         with mock.patch.object(reident, "ESTIMATE_BATCH", batch):
@@ -467,7 +430,7 @@ def _raise(error):
     ids=["caller", "child", "child-unpicklable", "child-dies"],
 )
 def test_a_failing_bucket_raises_in_the_caller_and_leaves_no_child(bucket, failure, raised, match, rng):
-    scheme = _scheme("escrow", 16)
+    scheme = build_scheme("escrow", 16)
     state, _ = gen_ex(scheme, 6, rng)
     hypothesis = _FailsInBucket(state, bucket, failure)
     with _processes(2) as forks, pytest.raises(raised, match=match):
@@ -479,7 +442,7 @@ def test_a_failing_bucket_raises_in_the_caller_and_leaves_no_child(bucket, failu
 
 def test_estimator_shares_a_few_draws(rng):
     # 4 buckets of 5 draws: 20 draws in all are shared with a second process
-    scheme = _scheme("escrow", 16)
+    scheme = build_scheme("escrow", 16)
     state, sample = gen_ex(scheme, 3, rng)
     hypothesis = pac_learn(scheme, sample)
     seed = int(rng.integers(0, 2**63))
@@ -502,7 +465,7 @@ def _forbidden_fork():
 
 @pytest.mark.parametrize("reason", ["thread", "one cpu"])
 def test_estimator_stays_serial(reason, rng):
-    scheme = _scheme("escrow", 16)
+    scheme = build_scheme("escrow", 16)
     state, sample = gen_ex(scheme, 6, rng)
     hypothesis = pac_learn(scheme, sample)
     seed = int(rng.integers(0, 2**63))
@@ -590,21 +553,9 @@ def test_a_failing_trial_raises_in_the_caller_and_leaves_no_child(monkeypatch):
 # -- the correctness checkers ---------------------------------------------------------
 
 
-class _InvertedComp(OpfOre):
-    """Flips every strict comparison (by comparing the operands swapped) and
-    refuses (BOT) every equal or malformed one, so every honest pair fails
-    the weak check."""
-
-    def comp(self, params, c0, c1):
-        got = super().comp(params, c1, c0)
-        return BOT if got in (BOT, Ordering3.EQ) else got
-
-
 _CHECKED = {  # kind -> scheme; "opf" also gets the spliced witness pair
-    "escrow": _scheme("escrow", 8),
-    "signature": _scheme("signature", 8),
-    "opf": _scheme("opf", 8),
-    "inverted": _InvertedComp(ell=8),
+    **{kind: build_scheme(kind) for kind in SCHEMES},
+    "inverted": InvertedComp(ell=8),
 }
 
 
@@ -613,8 +564,8 @@ def _spliced_witness(scheme, key):
     against an honest encryption between them."""
     lo = scheme.domain_size // 8
     hi = scheme.domain_size - 1 - lo
-    forged = forge_spliced_ciphertext(scheme, key.sk, tag_of=hi, payload_of=lo)
-    return forged, scheme.enc(key.sk, (lo + hi) // 2)
+    spliced = forge_spliced_ciphertext(scheme, key.sk, tag_of=hi, payload_of=lo)
+    return spliced, scheme.enc(key.sk, (lo + hi) // 2)
 
 
 def _serial_strong_check(scheme, key, trials, rng, extra_pairs):
@@ -747,7 +698,7 @@ def test_correctness_runner_gives_the_serial_report_on_every_process_count(schem
 
 # -- strong correctness across memo clears ---------------------------------------
 
-_KEY_LABELS = [(name, i) for name in sorted(_CERTIFIERS) for i in range(2)]
+_KEY_LABELS = [(name, i) for name in STRENGTHENED for i in range(2)]
 _SHIPPED_BOUNDS = (TAG_MEMO_MAX, PLAIN_MEMO_MAX, strengthen.VERDICT_MEMO_MAX)
 
 
@@ -766,9 +717,9 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
     each key, their mutations, spliced base ciphertexts under a zero, empty
     or transplanted certificate, and so cross-key ciphertexts for every
     key.  The long-lived keys' memos hit and are cleared every few calls;
-    each answer must equal the memo-free twin's, a fresh scheme and key
-    from the same coins asked once under the shipped bounds.  Comparison
-    must also agree with decrypt-then-compare on every pair it is asked.
+    each answer must equal the memo-free twin's, a fresh key from the same
+    coins asked once under the shipped bounds.  Comparison must also agree
+    with decrypt-then-compare on every pair it is asked.
     """
 
     cts = Bundle("cts")
@@ -785,7 +736,7 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
     def build(self, ell, seed, m):
         self.ell = ell
         self.coins = [hashlib.blake2b(seed, key=bytes([i]), digest_size=32).digest() for i in range(2)]
-        self.schemes = {name: self._scheme(name) for name in _CERTIFIERS}
+        self.schemes = {name: build_scheme(name, ell) for name in STRENGTHENED}
         self.keys = {
             (name, i): self.schemes[name].gen_from_coins(self.coins[i]) for name, i in _KEY_LABELS
         }
@@ -794,13 +745,10 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
             *(self.schemes[name].enc(key.sk, self._message(m)) for (name, _), key in self.keys.items())
         )
 
-    def _scheme(self, name):
-        return StrengthenedOre(OpfOre(ell=self.ell), _CERTIFIERS[name]())
-
     def _twin(self, label, ask):
-        """``ask(scheme, key)`` on a fresh scheme and key, under the shipped bounds."""
+        """``ask(scheme, key)`` on a fresh key, under the shipped bounds."""
         with _memo_bounds(*_SHIPPED_BOUNDS):
-            scheme = self._scheme(label[0])
+            scheme = self.schemes[label[0]]
             return ask(scheme, scheme.gen_from_coins(self.coins[label[1]]))
 
     def _message(self, m: int) -> int:

@@ -1,40 +1,21 @@
-"""The weak-to-strong conversion: commitments, certifiers, and the identity
-comp == decrypt-then-compare on arbitrary bytes."""
+"""The weak-to-strong conversion: commitments, certifiers, and comparison
+on honest and malformed strengthened ciphertexts."""
 
-import numpy as np
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-from hypothesis import given, settings, strategies as st
 
 from orelearn.core import (
     BOT,
-    MUTATION_CLASSES,
-    Ordering3,
     check_strong_correctness,
     check_weak_correctness,
     comp_ciph,
     decode_blob,
     encode_blob,
-    mutate_ciphertext,
 )
 from orelearn import core
 from orelearn.opf import OpfOre, OpfSecretKey, forge_spliced_ciphertext
-from orelearn.strengthen import (
-    STRONG_VERSION,
-    EscrowCertifier,
-    SignatureCertifier,
-    StrengthenedOre,
-    commit,
-    statement_bytes,
-)
-
-
-def _escrow_scheme(ell=8):
-    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
-
-
-def _sig_scheme(ell=8):
-    return StrengthenedOre(OpfOre(ell=ell), SignatureCertifier())
+from orelearn.strengthen import STRONG_VERSION, SignatureCertifier, commit, statement_bytes
+from test_contract import SCHEMES, STRENGTHENED, build_scheme
 
 
 # -- commitment --------------------------------------------------------------
@@ -63,16 +44,8 @@ def test_binding_check_exhaustive_4k_values():
 # -- certifier behaviour ------------------------------------------------------
 
 
-def test_signature_certifier_accepts_honest_statements(rng):
-    scheme = _sig_scheme()
-    key = scheme.gen(rng)
-    for m in range(0, 256, 17):
-        ct = scheme.enc(key.sk, m)
-        assert scheme.dec(key.sk, ct) == m
-
-
 def test_signature_certifier_rejects_flipped_ciphertext_bit(rng):
-    scheme = _sig_scheme()
+    scheme = build_scheme("signature")
     key = scheme.gen(rng)
     for trial in range(100):
         ct = bytearray(scheme.enc(key.sk, int(rng.integers(0, 256))))
@@ -84,7 +57,7 @@ def test_signature_certifier_rejects_flipped_ciphertext_bit(rng):
 
 def test_signature_certificate_does_not_transplant(rng):
     # a certificate binds to its own statement, not to any other ciphertext
-    scheme = _sig_scheme()
+    scheme = build_scheme("signature")
     key = scheme.gen(rng)
     ct_a = scheme.enc(key.sk, 10)
     ct_b = scheme.enc(key.sk, 20)
@@ -95,15 +68,8 @@ def test_signature_certificate_does_not_transplant(rng):
     assert scheme.comp(key.params, franken, ct_b) is BOT
 
 
-def test_escrow_accepts_every_honest_ciphertext(rng):
-    scheme = _escrow_scheme()
-    key = scheme.gen(rng)
-    for m in range(256):
-        assert scheme.dec(key.sk, scheme.enc(key.sk, m)) == m
-
-
 def test_escrow_rejects_random_bytes(rng):
-    scheme = _escrow_scheme()
+    scheme = build_scheme("escrow")
     key = scheme.gen(rng)
     for _ in range(300):
         blob = bytes(rng.bytes(int(rng.integers(1, 80))))
@@ -111,10 +77,9 @@ def test_escrow_rejects_random_bytes(rng):
 
 
 def test_escrow_rejects_the_spliced_forgery_witness(rng):
-    base = OpfOre(ell=8)
-    scheme = StrengthenedOre(base, EscrowCertifier())
+    scheme = build_scheme("escrow")
     key = scheme.gen(rng)
-    witness = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
+    witness = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=200, payload_of=3)
     assert key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, witness, b"") is False
 
 
@@ -123,13 +88,12 @@ def _refuse_to_encrypt(*args):
 
 
 def test_escrow_verification_encrypts_nothing(rng, monkeypatch):
-    base = OpfOre(ell=8)
-    scheme = StrengthenedOre(base, EscrowCertifier())
+    scheme = build_scheme("escrow")
     key = scheme.gen(rng)
     honest, _cert = scheme.parse(scheme.enc(key.sk, 42))
-    spliced = forge_spliced_ciphertext(base, key.sk.base_sk, tag_of=200, payload_of=3)
+    spliced = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=200, payload_of=3)
     garbage = honest[:2] + bytes(rng.bytes(len(honest) - 2))
-    monkeypatch.setattr(key.sk.cert_vk._base, "_seal", _refuse_to_encrypt)
+    monkeypatch.setattr(OpfOre, "_seal", _refuse_to_encrypt)
     verdicts = [
         key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, ct, b"")
         for ct in (honest, spliced, garbage)
@@ -140,7 +104,7 @@ def test_escrow_verification_encrypts_nothing(rng, monkeypatch):
 def test_escrow_ciphertext_is_unique_only_up_to_its_certificate(rng):
     # escrow ignores the certificate field, so enc(dec(ct)) == ct holds for
     # the base scheme but not for the strengthened one
-    scheme = _escrow_scheme()
+    scheme = build_scheme("escrow")
     key = scheme.gen(rng)
     base_ct, cert = scheme.parse(scheme.enc(key.sk, 7))
     assert cert == b""
@@ -151,7 +115,7 @@ def test_escrow_ciphertext_is_unique_only_up_to_its_certificate(rng):
 
 def test_signature_certificate_signs_the_statement_bytes(rng):
     # the signed bytes are the documented statement encoding of the fields
-    scheme = _sig_scheme()
+    scheme = build_scheme("signature")
     key = scheme.gen(rng)
     base_ct, cert = scheme.parse(scheme.enc(key.sk, 42))
     stmt = statement_bytes(key.sk.base_params.data, key.sk.sigma, base_ct)
@@ -162,28 +126,20 @@ def test_signature_certificate_signs_the_statement_bytes(rng):
 # -- the strengthened scheme --------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [_escrow_scheme, _sig_scheme], ids=["escrow", "signature"])
-def test_roundtrip_exhaustive_ell8(make, rng):
-    scheme = make()
-    key = scheme.gen(rng)
-    for m in range(256):
-        assert scheme.dec(key.sk, scheme.enc(key.sk, m)) == m
-
-
-@pytest.mark.parametrize("make", [_escrow_scheme, _sig_scheme], ids=["escrow", "signature"])
-def test_strong_correctness_fuzz(make, rng):
-    scheme = make()
+@pytest.mark.parametrize("kind", STRENGTHENED)
+def test_strong_correctness_fuzz(kind, rng):
+    scheme = build_scheme(kind)
     key = scheme.gen(rng)
     report = check_strong_correctness(scheme, key, trials=1500, rng=rng)
     assert report.passed, report.counts_by_class
 
 
-@pytest.mark.parametrize("kind", ["opf", "escrow", "signature"])
+@pytest.mark.parametrize("kind", SCHEMES)
 def test_strong_checker_fully_checks_each_honest_ciphertext_once(kind, rng, monkeypatch):
     # a base ciphertext's first dec is its one full check (one auth tag not
     # made by _seal); every later dec, verification or comparison of it
     # reads the key's plaintext memo
-    scheme = _BYTE_KEYS[kind]()
+    scheme = build_scheme(kind)
     key = scheme.gen(rng)
     cts = scheme.enc_many(key.sk, rng.integers(0, 256, size=40).tolist())
     pairs = list(zip(cts, cts[1:] + cts[:1])) + list(zip(cts, cts))
@@ -205,7 +161,7 @@ def test_strong_checker_fully_checks_each_honest_ciphertext_once(kind, rng, monk
 
 
 def test_dec_with_zeroed_certificate_is_bot(rng):
-    scheme = _sig_scheme()
+    scheme = build_scheme("signature")
     key = scheme.gen(rng)
     ct = scheme.enc(key.sk, 99)
     base_ct, cert = decode_blob(ct[2:], 2)
@@ -213,9 +169,9 @@ def test_dec_with_zeroed_certificate_is_bot(rng):
     assert scheme.dec(key.sk, zeroed) is BOT
 
 
-@pytest.mark.parametrize("make", [_escrow_scheme, _sig_scheme], ids=["escrow", "signature"])
-def test_comp_with_stripped_certificate_agrees_with_comp_ciph(make, rng):
-    scheme = make()
+@pytest.mark.parametrize("kind", STRENGTHENED)
+def test_comp_with_stripped_certificate_agrees_with_comp_ciph(kind, rng):
+    scheme = build_scheme(kind)
     key = scheme.gen(rng)
     good = scheme.enc(key.sk, 7)
     victim = scheme.enc(key.sk, 200)
@@ -227,8 +183,8 @@ def test_comp_with_stripped_certificate_agrees_with_comp_ciph(make, rng):
 
 
 def test_delegation_on_honest_pairs_matches_base(rng):
-    base = OpfOre(ell=8)
-    scheme = StrengthenedOre(base, EscrowCertifier())
+    scheme = build_scheme("escrow")
+    base = scheme.base
     key = scheme.gen(rng)
     base_key_sk = key.sk.base_sk
     for _ in range(300):
@@ -241,7 +197,7 @@ def test_delegation_on_honest_pairs_matches_base(rng):
 
 
 def test_weak_correctness_preserved(rng):
-    scheme = _escrow_scheme(ell=6)
+    scheme = build_scheme("escrow", 6)
     key = scheme.gen(rng)
     report = check_weak_correctness(
         scheme, [(a, b) for a in range(64) for b in range(64)], key
@@ -249,147 +205,11 @@ def test_weak_correctness_preserved(rng):
     assert report.passed
 
 
-def test_params_are_deterministic_in_coins():
-    scheme = _sig_scheme(ell=16)
-    coins = bytes(reversed(range(32)))
-    k1 = scheme.gen_from_coins(coins)
-    k2 = scheme.gen_from_coins(coins)
-    assert k1.params.data == k2.params.data
-    assert scheme.enc(k1.sk, 555) == scheme.enc(k2.sk, 555)
-
-
-def test_params_len_matches_declaration(rng):
-    # every scheme the library builds; coin_len 2 is the sq runner's tiny keyspace
-    for ell in (1, 16, 64):
-        for coin_len in (2, 32):
-            base = OpfOre(ell=ell, coin_len=coin_len)
-            strong = [StrengthenedOre(base, c()) for c in (EscrowCertifier, SignatureCertifier)]
-            for scheme in (base, *strong):
-                for _ in range(4):
-                    assert len(scheme.gen(rng).params.data) == scheme.params_len()
-
-
 def test_ciphertext_layout_is_length_prefixed(rng):
-    scheme = _sig_scheme()
+    scheme = build_scheme("signature")
     key = scheme.gen(rng)
     ct = scheme.enc(key.sk, 42)
     assert ct[0] == 0x02 and ct[1] == scheme.ell
     base_ct, cert = decode_blob(ct[2:], 2)
     assert base_ct[0] == 0x01  # embedded base ciphertext keeps its own header
     assert len(cert) == 64  # ed25519 signature
-
-
-# -- arbitrary bytes -------------------------------------------------------------
-
-_BYTE_KEYS = {
-    "opf": (lambda ell=8: OpfOre(ell=ell)),
-    "escrow": _escrow_scheme,
-    "signature": _sig_scheme,
-}
-
-
-def _edited(ct: bytes, pos: int, xor: int, cut: int, tail: bytes) -> bytes:
-    b = bytearray(ct)
-    b[pos % len(b)] ^= xor
-    return bytes(b[:cut]) + tail
-
-
-@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_dec_and_comp_take_arbitrary_bytes(kind, data):
-    # dec and comp never raise; strengthened comp is decrypt-then-compare
-    scheme = _BYTE_KEYS[kind]()
-    key = scheme.gen_from_coins(bytes(range(32)))
-    honest = st.integers(0, 255).map(lambda m: scheme.enc(key.sk, m))
-    edited = st.builds(
-        _edited, honest, st.integers(0, 200), st.integers(0, 255),
-        st.integers(0, 200), st.binary(max_size=8),
-    )
-    cts = st.one_of(st.binary(max_size=140), honest, edited)
-    c0, c1 = data.draw(cts), data.draw(cts)
-    for c in (c0, c1):
-        m = scheme.dec(key.sk, c)
-        assert m is BOT or 0 <= m < 256
-    got = scheme.comp(key.params, c0, c1)
-    assert got is BOT or isinstance(got, Ordering3)
-    if kind != "opf":
-        assert got is comp_ciph(scheme, key.sk, c0, c1)
-
-
-@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
-@pytest.mark.parametrize("like", [bytearray, memoryview])
-@settings(max_examples=40, deadline=None)
-@given(
-    ms=st.lists(st.integers(0, 255), min_size=2, max_size=5),
-    kinds=st.lists(st.sampled_from(MUTATION_CLASSES), min_size=5, max_size=5),
-    seed=st.integers(0, 2**32),
-)
-def test_a_bytes_like_ciphertext_gets_the_answer_of_its_bytes(kind, like, ms, kinds, seed):
-    # dec, comp and comp_many answer a bytes-like ciphertext exactly as they
-    # answer bytes(ct), never with an exception; each key's memos are filled
-    # by the bytes first on one key and by the bytes-like first on the other
-    scheme = _BYTE_KEYS[kind]()
-    coins = bytes(range(32))
-    rng = np.random.default_rng(seed)
-    honest = scheme.enc_many(scheme.gen_from_coins(coins).sk, ms)
-    cts = [ct if k == "valid" else mutate_ciphertext(ct, k, rng) for ct, k in zip(honest, kinds)]
-    anchor = cts[-1]
-
-    def answers(key, wrap):
-        return (
-            [scheme.dec(key.sk, wrap(ct)) for ct in cts],
-            [scheme.comp(key.params, wrap(c0), wrap(anchor)) for c0 in cts],
-            scheme.comp_many(key.params, [wrap(ct) for ct in cts], wrap(anchor)),
-        )
-
-    plain_first, like_first = scheme.gen_from_coins(coins), scheme.gen_from_coins(coins)
-    expected = answers(plain_first, bytes)
-    assert answers(plain_first, like) == expected
-    assert answers(like_first, like) == expected
-    assert answers(like_first, bytes) == expected
-
-
-@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
-@pytest.mark.parametrize("value", [5, [1, 2, 3], "ab"])
-def test_dec_refuses_a_ciphertext_that_is_not_bytes_like(kind, value):
-    # only the buffer protocol reads as bytes: bytes(5) would be five zero
-    # bytes and bytes([1, 2, 3]) a ciphertext, so both stay a TypeError
-    scheme = _BYTE_KEYS[kind]()
-    key = scheme.gen_from_coins(bytes(range(32)))
-    with pytest.raises(TypeError):
-        scheme.dec(key.sk, value)
-
-
-@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
-@pytest.mark.parametrize("value", [5, "list", "ab"])
-@pytest.mark.parametrize("anchor", ["honest", "junk"])
-def test_comp_refuses_a_ciphertext_that_is_not_bytes_like_whatever_the_anchor(kind, value, anchor):
-    # every c0 is read as a buffer, so an anchor that does not parse must not
-    # turn a non-bytes-like c0 into BOT
-    scheme = _BYTE_KEYS[kind]()
-    key = scheme.gen_from_coins(bytes(range(32)))
-    ct = scheme.enc(key.sk, 3)
-    if value == "list":
-        value = list(ct)
-    c1 = ct if anchor == "honest" else b"junk"
-    with pytest.raises(TypeError):
-        scheme.comp(key.params, value, c1)
-    with pytest.raises(TypeError):
-        scheme.comp_many(key.params, [ct, value], c1)
-
-
-# -- one ciphertext length per scheme ----------------------------------------------
-
-
-@pytest.mark.parametrize("kind", list(_BYTE_KEYS))
-@settings(max_examples=60, deadline=None)
-@given(ell=st.integers(1, 64), coins=st.binary(min_size=32, max_size=32), data=st.data())
-def test_every_honest_ciphertext_has_the_one_length(kind, ell, coins, data):
-    # the strong checker's FuzzPairSampler draws its mutations for this length
-    # before it encrypts, and the sq config check reads it off the zero-coins key
-    scheme = _BYTE_KEYS[kind](ell)
-    sk = scheme.gen_from_coins(coins).sk
-    ms = data.draw(st.lists(st.integers(0, scheme.domain_size - 1), max_size=8))
-    cts = scheme.enc_many(sk, ms) + [scheme.enc(sk, m) for m in (0, scheme.domain_size - 1)]
-    assert {len(ct) for ct in cts} == {scheme.ciphertext_len()}
