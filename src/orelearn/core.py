@@ -127,11 +127,10 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A generated key pair together with the coin string that produced it."""
+    """A generated key pair: the secret key and its public params."""
 
     sk: object
     params: PublicParams
-    coins: bytes
 
 
 class OreScheme:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import OreScheme, PublicParams, _rate
 from .encthresh import Example
+from .opf import OpfSecretKey
 from .reident import draw_buckets
 from .strengthen import EscrowCertifier, StrengthenedOre, StrongParams
 
@@ -344,7 +345,7 @@ class EscrowKeyLeakAdversary:
         if not (isinstance(params, StrongParams) and params.cert_vk.kind == "escrow"):
             raise ValueError("the leak channel needs escrow-strengthened params")
         blob = params.cert_vk.serialize()
-        sk = self.base_scheme.key_from_bytes(blob[len(b"escrow:") :])
+        sk = OpfSecretKey(blob[len(b"escrow:") :])
         parsed = self.strong_scheme.parse(cts[0])
         if parsed is None:
             return int(rng.integers(0, 2))

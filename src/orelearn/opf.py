@@ -72,11 +72,10 @@ class OpfSecretKey:
     so behaviour stays deterministic, and each dies with its key.
     """
 
-    __slots__ = ("key", "ell", "_h_tag", "_h_mask", "_h_auth", "_tags", "_plains", "__weakref__")
+    __slots__ = ("key", "_h_tag", "_h_mask", "_h_auth", "_tags", "_plains", "__weakref__")
 
-    def __init__(self, key: bytes, ell: int):
+    def __init__(self, key: bytes):
         self.key = key
-        self.ell = ell
         self._h_tag = hashlib.blake2b(key + b"\x01", digest_size=16)
         self._h_mask = hashlib.blake2b(key + b"\x02", digest_size=_MASKED_LEN)
         self._h_auth = hashlib.blake2b(key + b"\x03", digest_size=_AUTH_LEN)
@@ -122,14 +121,8 @@ class OpfOre(OreScheme):
         master = hashlib.blake2b(
             coins, key=b"opf-master-key", digest_size=32
         ).digest()
-        sk = self.key_from_bytes(master)
         pid = hashlib.blake2b(master, key=b"opf-params-id", digest_size=16).digest()
-        params = PublicParams(data=pid, ell=self.ell)
-        return KeyMaterial(sk=sk, params=params, coins=coins)
-
-    def key_from_bytes(self, key: bytes) -> OpfSecretKey:
-        """The secret key whose master key bytes are ``key``, at this scheme's ell."""
-        return OpfSecretKey(key, self.ell)
+        return KeyMaterial(sk=OpfSecretKey(master), params=PublicParams(data=pid, ell=self.ell))
 
     # -- order tag ----------------------------------------------------------
 

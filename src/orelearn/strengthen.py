@@ -13,9 +13,11 @@ correctness.
 A certifier's ``setup`` returns the proving key, a function
 ``certify(base_params, sigma, base_ct)``, and a verify key with
 ``verify(base_params, sigma, base_ct, cert)``: both take the statement's
-parsed fields (params' bytes, sigma, c').  A signature verify key
-memoizes its verdicts by that field tuple plus the certificate, with at
-most ``VERDICT_MEMO_MAX + 1`` entries per key.  An escrow verify key keeps
+parsed fields (params' bytes, sigma, c').  The secret key holds the
+key's params, so ``dec`` and ``comp`` verify against the one copy of
+sigma and the verify key.  A signature verify key's ``verify`` memoizes
+its answers by that field tuple plus the certificate, with at most
+``VERDICT_MEMO_MAX + 1`` entries per key.  An escrow verify key keeps
 no verdict memo: its verdict is a base decryption, which the base key's
 plaintext memo already answers.  Two certifiers are shipped:
 
@@ -146,18 +148,29 @@ class _SignatureVerifyKey:
         self.vk_bytes = vk_bytes
         _, public_key, _ = _ed25519()
         self._vk = public_key.from_public_bytes(vk_bytes)
-        self.verdicts: dict[tuple, bool] = {}  # StrengthenedOre's memo of this key's verdicts
+        self.verdicts: dict[tuple, bool] = {}  # verify's answers by field tuple
 
     def serialize(self) -> bytes:
         return b"sig:" + self.vk_bytes
 
     def verify(self, base_params: bytes, sigma: bytes, base_ct: bytes, cert: bytes) -> bool:
-        _, _, invalid_signature = _ed25519()
-        try:
-            self._vk.verify(cert, statement_bytes(base_params, sigma, base_ct))
-            return True
-        except (invalid_signature, ValueError):
-            return False
+        """Whether cert is this key's signature on the fields' statement; a
+        pure function of the field tuple, so memoizing by it cannot change
+        results."""
+        verdicts = self.verdicts
+        fields = (base_params, sigma, base_ct, cert)
+        ok = verdicts.get(fields)
+        if ok is None:
+            _, _, invalid_signature = _ed25519()
+            try:
+                self._vk.verify(cert, statement_bytes(base_params, sigma, base_ct))
+                ok = True
+            except (invalid_signature, ValueError):
+                ok = False
+            if len(verdicts) > VERDICT_MEMO_MAX:
+                verdicts.clear()
+            verdicts[fields] = ok
+        return ok
 
 
 class EscrowCertifier:
@@ -181,14 +194,13 @@ def _empty_certificate(base_params: bytes, sigma: bytes, base_ct: bytes) -> byte
 
 
 class _EscrowVerifyKey:
-    __slots__ = ("_base", "_base_sk", "verdicts")
+    __slots__ = ("_base", "_base_sk")
 
     kind = "escrow"
 
     def __init__(self, base: OreScheme, base_sk):
         self._base = base
         self._base_sk = base_sk
-        self.verdicts = None  # a repeat is answered by the base key's plaintext memo
 
     def serialize(self) -> bytes:
         # leaks the sealed key bytes; escrow mode is simulation-only
@@ -206,22 +218,6 @@ class _EscrowVerifyKey:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, slots=True)
-class StrongSecretKey:
-    """Base key, its params and commitment sigma, and both certifier keys.
-
-    The verification key is kept here as well as in params (mirroring a
-    common reference string available to both sides) so decryption can
-    check certificates without touching public parameters.
-    """
-
-    base_sk: object
-    base_params: PublicParams
-    sigma: bytes
-    certify: object
-    cert_vk: object
-
-
 @dataclass(frozen=True, eq=False)  # equality and hashing stay on (data, ell)
 class StrongParams(PublicParams):
     """(base params, key commitment, certificate verification key)."""
@@ -229,6 +225,16 @@ class StrongParams(PublicParams):
     base_params: PublicParams
     sigma: bytes
     cert_vk: object
+
+
+@dataclass(eq=False, slots=True)
+class StrongSecretKey:
+    """The base key, the key's params and the proving key; ``dec`` checks
+    certificates against ``params``, the object ``comp`` is given."""
+
+    base_sk: object
+    params: StrongParams
+    certify: object
 
 
 class StrengthenedOre(OreScheme):
@@ -249,7 +255,6 @@ class StrengthenedOre(OreScheme):
         certify, cert_vk = self.certifier.setup(
             self.base, base_key.sk, sub(b"strong-cert-seed")
         )
-        sk = StrongSecretKey(base_key.sk, base_key.params, sigma, certify, cert_vk)
         params = StrongParams(
             data=encode_blob(base_key.params.data, sigma, cert_vk.serialize()),
             ell=base_key.params.ell,
@@ -257,7 +262,7 @@ class StrengthenedOre(OreScheme):
             sigma=sigma,
             cert_vk=cert_vk,
         )
-        return KeyMaterial(sk=sk, params=params, coins=coins)
+        return KeyMaterial(sk=StrongSecretKey(base_key.sk, params, certify), params=params)
 
     # -- enc / dec / comp ---------------------------------------------------
 
@@ -269,7 +274,7 @@ class StrengthenedOre(OreScheme):
 
     def _certified(self, sk: StrongSecretKey, base_ct: bytes) -> bytes:
         """Wrap a base ciphertext with its well-formedness certificate."""
-        cert = sk.certify(sk.base_params.data, sk.sigma, base_ct)
+        cert = sk.certify(sk.params.base_params.data, sk.params.sigma, base_ct)
         return bytes([STRONG_VERSION, self.ell]) + encode_blob(base_ct, cert)
 
     def parse(self, ct: bytes):
@@ -284,33 +289,13 @@ class StrengthenedOre(OreScheme):
             return None
         return fields[0], fields[1]
 
-    def _verify(self, cert_vk, *fields: bytes) -> bool:
-        """``cert_vk.verify(*fields)`` through the key's bounded verdict memo,
-        if it has one (an escrow key has none).
-
-        Verification is a pure function of the key and the whole field
-        tuple (base_params, sigma, base_ct, cert), so a memo keyed by that
-        tuple cannot change results; it lives on the verify key, so it dies
-        with the key.
-        """
-        memo = cert_vk.verdicts
-        if memo is None:
-            return cert_vk.verify(*fields)
-        hit = memo.get(fields)
-        if hit is not None:
-            return hit
-        ok = cert_vk.verify(*fields)
-        if len(memo) > VERDICT_MEMO_MAX:
-            memo.clear()
-        memo[fields] = ok
-        return ok
-
     def dec(self, sk: StrongSecretKey, ct: bytes):
         parsed = self.parse(ct)
         if parsed is None:
             return BOT
         base_ct, cert = parsed
-        if not self._verify(sk.cert_vk, sk.base_params.data, sk.sigma, base_ct, cert):
+        params = sk.params
+        if not params.cert_vk.verify(params.base_params.data, params.sigma, base_ct, cert):
             return BOT
         return self.base.dec(sk.base_sk, base_ct)
 
@@ -321,17 +306,17 @@ class StrengthenedOre(OreScheme):
         """``[self.comp(params, c0, c1) for c0 in cts]`` with c1 parsed once
         and verified at most once.
 
-        Each c0 is parsed and its certificate verified through ``_verify``,
-        as a lone ``comp`` would; c1 is verified when the first c0
-        passes, and a c1 that fails to parse or verify refuses the rest of
-        the batch.  Every c0 is still parsed, so one that is not bytes-like
-        raises ``TypeError`` whatever c1 is.
+        Each c0 is parsed and its certificate verified by
+        ``params.cert_vk.verify``, as a lone ``comp`` would; c1 is verified
+        when the first c0 passes, and a c1 that fails to parse or verify
+        refuses the rest of the batch.  Every c0 is still parsed, so one
+        that is not bytes-like raises ``TypeError`` whatever c1 is.
         """
         p1 = self.parse(c1)
-        base_params = params.base_params
+        base_params, sigma, verify = params.base_params, params.sigma, params.cert_vk.verify
 
         def verified(parsed) -> bool:
-            return self._verify(params.cert_vk, base_params.data, params.sigma, *parsed)
+            return verify(base_params.data, sigma, *parsed)
 
         anchor_ok = None if p1 is not None else False  # c1's verdict, once some c0 needs it
         out = []

@@ -55,7 +55,6 @@ from orelearn.reident import (
     soundness_experiment,
 )
 from orelearn.sq import OracleKeyRecovery, StatOracle, TinyKeyspaceRecovery, sq_learn
-from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
 from orelearn.validsig import (
     Ed25519Scheme,
     SigExampleDistribution,
@@ -65,6 +64,7 @@ from orelearn.validsig import (
     validsig_learn,
     validsig_trace_ex,
 )
+from test_contract import build_scheme
 
 SEED = 74205
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -94,11 +94,11 @@ def test_c01_strong_correctness_identity():
     start = time.perf_counter()
     rng = _rng(1)
 
-    escrow = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
+    escrow = build_scheme("escrow", 16)
     key_e = escrow.gen(rng)
     rep_e = check_strong_correctness(escrow, key_e, trials=10_000, rng=rng)
 
-    sig = StrengthenedOre(OpfOre(ell=16), SignatureCertifier())
+    sig = build_scheme("signature", 16)
     key_s = sig.gen(rng)
     rep_s = check_strong_correctness(sig, key_s, trials=10_000, rng=rng)
 
@@ -178,7 +178,7 @@ def test_c03_pac_error_bound():
     alpha = beta = 0.05
     n = required_sample_size(alpha, beta)
     assert n == 60
-    scheme = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
+    scheme = build_scheme("escrow", 32)
     trials = 200
     rates = {}
     one_sided_every_trial = True
@@ -210,19 +210,9 @@ def test_c03_pac_error_bound():
 # 4. Tracing completeness
 # ---------------------------------------------------------------------------
 
-_TRACE_SCHEME = None
-
-
-def _trace_scheme():
-    global _TRACE_SCHEME
-    if _TRACE_SCHEME is None:
-        _TRACE_SCHEME = StrengthenedOre(OpfOre(ell=32), EscrowCertifier())
-    return _TRACE_SCHEME
-
-
 def test_c04_tracing_completeness():
     start = time.perf_counter()
-    scheme = _trace_scheme()
+    scheme = build_scheme("escrow", 32)
     gamma, xi = 0.45, 0.01
     learner = lambda sample: pac_learn(scheme, sample)
     rows = completeness_experiment(
@@ -263,7 +253,7 @@ def test_c04_tracing_completeness():
 
 def test_c05_tracing_soundness():
     start = time.perf_counter()
-    scheme = _trace_scheme()
+    scheme = build_scheme("escrow", 32)
     gamma, xi = 0.45, 0.01
     learner = lambda sample: pac_learn(scheme, sample)
     rates = {}
@@ -384,7 +374,7 @@ def test_c08_estimator_constant_and_concentration():
 
     # concentration: all n+1 buckets simultaneously within gamma/(4n) of
     # exactly computable per-bucket rates, with frequency >= 1 - xi/2
-    scheme = StrengthenedOre(OpfOre(ell=12), EscrowCertifier())
+    scheme = build_scheme("escrow", 12)
     n, gamma, xi = 8, 0.8, 0.5
     tol = gamma / (4 * n)
     k_exact = concentration_sample_count(n, gamma, xi)
@@ -470,7 +460,7 @@ def test_c09_dp_bound_calculator():
 def test_c10_sq_learner():
     start = time.perf_counter()
     alpha = 0.05
-    scheme = StrengthenedOre(OpfOre(ell=16), EscrowCertifier())
+    scheme = build_scheme("escrow", 16)
     bound = 1 + 8 * scheme.params_len() + 16
     every_trial_ok = True
     for trial in range(50):
@@ -486,7 +476,7 @@ def test_c10_sq_learner():
             every_trial_ok = False
 
     # genuine exhaustive search over a tiny coin space, exercised once
-    tiny_scheme = StrengthenedOre(OpfOre(ell=10, coin_len=2), EscrowCertifier())
+    tiny_scheme = build_scheme("escrow", 10, 2)
     rng = derive_trial_rng(SEED, 999, b"c10")
     concept = random_concept(tiny_scheme, rng, t=700)
     dist = random_point_mass(concept, 128, rng)

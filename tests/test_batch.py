@@ -48,7 +48,7 @@ from orelearn.core import (
 from orelearn.encthresh import ComparatorHypothesis, EncThreshConcept, Example, pac_learn
 from orelearn.opf import PLAIN_MEMO_MAX, TAG_MEMO_MAX, OpfOre, forge_spliced_ciphertext
 from orelearn.reident import ReidentState, draw_buckets, estimate_bucket_probs, gen_ex
-from orelearn.strengthen import STRONG_VERSION, StrengthenedOre
+from orelearn.strengthen import STRONG_VERSION
 from test_contract import SCHEMES, STRENGTHENED, InvertedComp, build_scheme, forged
 
 
@@ -176,22 +176,33 @@ def test_comp_many_refuses_everything_against_a_bad_anchor(rng):
     assert scheme.comp_many(key.params, cts, forged(scheme, key.sk, 255, 0)) == [BOT] * 3
 
 
+class _CountedChecks:
+    """An Ed25519 public key that records the statement of each signature check."""
+
+    def __init__(self, public_key, checks: list):
+        self.public_key, self.checks = public_key, checks
+
+    def verify(self, signature, data):
+        self.checks.append(data)
+        return self.public_key.verify(signature, data)
+
+
 def test_comp_many_verifies_the_anchor_once_and_repeats_through_the_memo(rng, monkeypatch):
-    # the signature certifier's verdict memo; an escrow key keeps none (its
+    # the signature verify key's verdict memo; an escrow key keeps none (its
     # repeats reach the base key's plaintext memo, counted by
     # test_strengthen.py::test_strong_checker_fully_checks_each_honest_ciphertext_once)
     scheme = build_scheme("signature", 8)
     key = scheme.gen(rng)
     ct, anchor = scheme.enc_many(key.sk, [5, 9])
     expected = [scheme.comp(key.params, ct, anchor)] * 4
-    vk_type = type(key.params.cert_vk)
-    checks, memo_lookups = [], []
-    verify, memo = vk_type.verify, StrengthenedOre._verify
-    monkeypatch.setattr(vk_type, "verify", lambda vk, *a: checks.append(a) or verify(vk, *a))
-    monkeypatch.setattr(StrengthenedOre, "_verify", lambda *a: memo_lookups.append(a) or memo(*a))
-    key.params.cert_vk.verdicts.clear()
+    cert_vk = key.params.cert_vk
+    requests, checks = [], []
+    verify = type(cert_vk).verify
+    monkeypatch.setattr(type(cert_vk), "verify", lambda vk, *a: requests.append(a) or verify(vk, *a))
+    monkeypatch.setattr(cert_vk, "_vk", _CountedChecks(cert_vk._vk, checks))
+    cert_vk.verdicts.clear()
     assert scheme.comp_many(key.params, [ct] * 4, anchor) == expected
-    assert len(memo_lookups) == 5  # each of the 4 ciphertexts, and the anchor once
+    assert len(requests) == 5  # each of the 4 ciphertexts, and the anchor once
     assert len(checks) == 2  # ct once, then the anchor once; the rest are memo hits
 
 
@@ -216,9 +227,8 @@ def test_verdict_memo_is_keyed_by_every_statement_field(field, rng):
     ct, anchor = scheme.enc_many(key_a.sk, [5, 9])
     assert scheme.dec(key_a.sk, ct) == 5
     assert scheme.comp(key_a.params, ct, anchor) is Ordering3.LT  # both verdicts memoized
-    other = getattr(key_b.sk, field)
-    sk = dataclasses.replace(key_a.sk, **{field: other})
-    params = dataclasses.replace(key_a.params, **{field: other})
+    params = dataclasses.replace(key_a.params, **{field: getattr(key_b.params, field)})
+    sk = dataclasses.replace(key_a.sk, params=params)
     assert scheme.dec(sk, ct) is BOT
     assert scheme.comp(params, ct, anchor) is BOT
     assert scheme.comp_many(params, [ct, anchor, ct], anchor) == [BOT] * 3
@@ -248,18 +258,19 @@ def test_verdicts_are_unchanged_across_verdict_memo_clears(certifier, rng, monke
 
     expected = answers(scheme.gen_from_coins(coins))
     sizes = []
-    verify = StrengthenedOre._verify
+    vk_type = type(key.params.cert_vk)
+    verify = vk_type.verify
 
-    def tracked(self, cert_vk, *fields):
+    def tracked(cert_vk, *fields):
         # an escrow verdict is a base dec, answered by the plaintext memo
-        ok = verify(self, cert_vk, *fields)
-        memo = cert_vk._base_sk._plains if cert_vk.verdicts is None else cert_vk.verdicts
+        ok = verify(cert_vk, *fields)
+        memo = cert_vk._base_sk._plains if cert_vk.kind == "escrow" else cert_vk.verdicts
         sizes.append(len(memo))
         return ok
 
     monkeypatch.setattr(strengthen, "VERDICT_MEMO_MAX", 3)
     monkeypatch.setattr(opf, "PLAIN_MEMO_MAX", 3)
-    monkeypatch.setattr(StrengthenedOre, "_verify", tracked)
+    monkeypatch.setattr(vk_type, "verify", tracked)
     assert answers(scheme.gen_from_coins(coins)) == expected
     assert max(sizes) == 4
     assert sizes.count(1) > 1  # the memo was cleared, and refilled, more than once
@@ -829,11 +840,11 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
     @rule(labels=st.lists(st.sampled_from(_KEY_LABELS), min_size=1, unique=True))
     def clear_memos(self, labels):
         for label in labels:
-            sk = self.keys[label].sk
-            sk.base_sk._tags.clear()
-            sk.base_sk._plains.clear()
-            if sk.cert_vk.verdicts is not None:  # an escrow key keeps none
-                sk.cert_vk.verdicts.clear()
+            key = self.keys[label]
+            key.sk.base_sk._tags.clear()
+            key.sk.base_sk._plains.clear()
+            if key.params.cert_vk.kind == "signature":  # an escrow key keeps no verdict memo
+                key.params.cert_vk.verdicts.clear()
 
     @rule(
         label=st.sampled_from(_KEY_LABELS),
@@ -875,8 +886,8 @@ class SchemeAgainstMemoFreeTwin(RuleBasedStateMachine):
         for key in self.keys.values():
             assert len(key.sk.base_sk._tags) <= opf.TAG_MEMO_MAX + 1
             assert len(key.sk.base_sk._plains) <= opf.PLAIN_MEMO_MAX + 1
-            verdicts = key.sk.cert_vk.verdicts
-            assert verdicts is None or len(verdicts) <= strengthen.VERDICT_MEMO_MAX + 1
+            if key.params.cert_vk.kind == "signature":
+                assert len(key.params.cert_vk.verdicts) <= strengthen.VERDICT_MEMO_MAX + 1
 
 
 SchemeAgainstMemoFreeTwin.TestCase.settings = settings(

@@ -232,7 +232,7 @@ class _NoncedParams(OpfOre):
 
     def gen_from_coins(self, coins):
         key = super().gen_from_coins(coins)
-        return KeyMaterial(key.sk, PublicParams(os.urandom(16), self.ell), coins)
+        return KeyMaterial(key.sk, PublicParams(os.urandom(16), self.ell))
 
 
 class _AlternatingEnc(OpfOre):

@@ -23,15 +23,11 @@ from orelearn.encthresh import (
     required_sample_size,
 )
 from orelearn.opf import OpfOre
-from orelearn.strengthen import EscrowCertifier, StrengthenedOre
-
-
-def _scheme(ell=8):
-    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
+from test_contract import build_scheme
 
 
 def _concept(rng, ell=8, t=None):
-    scheme = _scheme(ell)
+    scheme = build_scheme("escrow", ell)
     key = scheme.gen(rng)
     t = scheme.domain_size // 2 if t is None else t
     return EncThreshConcept(scheme=scheme, t=t, key=key)
@@ -62,7 +58,7 @@ def test_concept_rejects_undecryptable_bytes(rng):
 
 
 def test_threshold_bounds_validated(rng):
-    scheme = _scheme(8)
+    scheme = build_scheme("escrow", 8)
     key = scheme.gen(rng)
     EncThreshConcept(scheme=scheme, t=0, key=key)
     EncThreshConcept(scheme=scheme, t=256, key=key)
@@ -125,7 +121,7 @@ def test_learner_deterministic(rng):
 
 
 def test_one_sided_error_exhaustive_ell6(rng):
-    scheme = _scheme(6)
+    scheme = build_scheme("escrow", 6)
     key = scheme.gen(rng)
     concept = EncThreshConcept(scheme=scheme, t=33, key=key)
     dist = UniformValidDistribution(concept)
@@ -140,7 +136,7 @@ def test_one_sided_error_exhaustive_ell6(rng):
 
 
 def test_monotone_nesting_exhaustive_ell6(rng):
-    scheme = _scheme(6)
+    scheme = build_scheme("escrow", 6)
     key = scheme.gen(rng)
     concepts = [EncThreshConcept(scheme=scheme, t=t, key=key) for t in (0, 10, 33, 64)]
     xs = [Example(key.params, scheme.enc(key.sk, m)) for m in range(64)]
@@ -275,7 +271,7 @@ def test_make_distribution_families(rng):
 
 def test_error_bound_smoke_uniform(rng):
     # reduced version of the acceptance run: error <= alpha in most trials
-    scheme = _scheme(16)
+    scheme = build_scheme("escrow", 16)
     alpha = beta = 0.05
     n = required_sample_size(alpha, beta)
     good = 0

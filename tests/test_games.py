@@ -21,13 +21,8 @@ from orelearn.games import (
     synthetic_reduction_win_rate,
 )
 from orelearn.harness import ExperimentConfig, run
-from orelearn.opf import OpfOre
 from orelearn.reident import draw_buckets
-from orelearn.strengthen import EscrowCertifier, SignatureCertifier, StrengthenedOre
-
-
-def _scheme(ell=16):
-    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
+from test_contract import build_scheme
 
 
 # -- challenge validation ------------------------------------------------------
@@ -172,7 +167,7 @@ def test_synthetic_monte_carlo_matches_formula(rng):
 
 
 def test_random_guesser_has_no_advantage(rng):
-    report = run_static_game(_scheme(), RandomGuessAdversary(), 2000, rng)
+    report = run_static_game(build_scheme("escrow", 16), RandomGuessAdversary(), 2000, rng)
     assert report.advantage <= 0.03 + report.ci_halfwidth
 
 
@@ -181,7 +176,7 @@ def test_identical_sides_yield_no_advantage_for_any_rule(rng):
         def guess(self, params, cts, rng):
             return cts[0][-1] & 1
 
-    report = run_static_game(_scheme(), ParityRule(), 1500, rng)
+    report = run_static_game(build_scheme("escrow", 16), ParityRule(), 1500, rng)
     assert report.advantage <= 0.05 + report.ci_halfwidth
 
 
@@ -194,11 +189,11 @@ def test_invalid_challenge_rejected_before_encryption(rng):
             raise AssertionError("must not be reached")
 
     with pytest.raises(ValueError):
-        run_static_game(_scheme(), Descending(), 1, rng)
+        run_static_game(build_scheme("escrow", 16), Descending(), 1, rng)
 
 
 def test_payload_adversary_has_no_advantage(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 16)
     pair = ChallengePair((100, 200, 300), (150, 250, 350))
     report = run_static_game(scheme, PayloadBitAdversary(pair), 1500, rng)
     assert report.advantage <= 0.05 + report.ci_halfwidth
@@ -206,17 +201,15 @@ def test_payload_adversary_has_no_advantage(rng):
 
 def test_escrow_leak_adversary_wins(rng):
     # negative control: the harness must detect a broken (leaky) scheme
-    base = OpfOre(ell=16)
-    scheme = StrengthenedOre(base, EscrowCertifier())
+    scheme = build_scheme("escrow", 16)
     pair = ChallengePair((100, 200), (150, 250))
-    report = run_static_game(scheme, EscrowKeyLeakAdversary(base, pair), 200, rng)
+    report = run_static_game(scheme, EscrowKeyLeakAdversary(scheme.base, pair), 200, rng)
     assert report.advantage >= 0.9
 
 
 def test_escrow_leak_adversary_rejects_non_escrow_params(rng):
-    base = OpfOre(ell=16)
-    adversary = EscrowKeyLeakAdversary(base, ChallengePair((100, 200), (150, 250)))
-    for scheme in (base, StrengthenedOre(base, SignatureCertifier())):
+    adversary = EscrowKeyLeakAdversary(build_scheme("opf", 16), ChallengePair((100, 200), (150, 250)))
+    for scheme in (build_scheme("opf", 16), build_scheme("signature", 16)):
         key = scheme.gen(rng)
         with pytest.raises(ValueError):
             adversary.guess(key.params, [scheme.enc(key.sk, 100)], rng)
@@ -226,7 +219,7 @@ def test_escrow_leak_adversary_rejects_non_escrow_params(rng):
 
 
 def test_reduction_adversary_builds_the_replaced_sample(rng):
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     n, j_star = 10, 4
     captured = {}
 
@@ -261,7 +254,7 @@ def test_reduction_adversary_builds_the_replaced_sample(rng):
 def test_reduction_adversary_handles_cramped_domains(rng):
     # tiny domain: draws are essentially never well-spaced; the adversary
     # must still emit a valid challenge and fall back to random guessing
-    scheme = _scheme(ell=4)
+    scheme = build_scheme("escrow", 4)
     adversary = ReductionAdversary(scheme, lambda s: None, 8, 3)
     challenge = adversary.choose_challenge(rng)
     challenge.validate(scheme.domain_size)
@@ -273,7 +266,7 @@ def test_reduction_adversary_handles_cramped_domains(rng):
 def test_reduction_with_honest_learner_shows_no_advantage(rng):
     # the honest learner breaks no tracing soundness, so the reduction has
     # no advantage beyond noise: the gate of ``games --mode reduction``
-    scheme = _scheme(ell=32)
+    scheme = build_scheme("escrow", 32)
     learner = lambda sample: pac_learn(scheme, sample)
     adversary = ReductionAdversary(scheme, learner, 20, j_star=7)
     report = run_static_game(scheme, adversary, 400, rng)
@@ -295,7 +288,7 @@ def test_an_undrawn_challenge_bit_has_no_rate():
 
 
 def test_constant_hypothesis_gives_no_advantage(rng):
-    scheme = _scheme(ell=32)
+    scheme = build_scheme("escrow", 32)
 
     class Zero:
         def evaluate(self, x):
@@ -308,7 +301,7 @@ def test_constant_hypothesis_gives_no_advantage(rng):
 
 
 def test_reduction_rejects_bad_index():
-    scheme = _scheme(ell=16)
+    scheme = build_scheme("escrow", 16)
     with pytest.raises(ValueError):
         ReductionAdversary(scheme, lambda s: None, 10, 0)
     with pytest.raises(ValueError):
@@ -319,7 +312,7 @@ def test_reduction_rejects_bad_index():
 def test_transcripts_change_no_figure_of_the_report(kind):
     # the report and the transcripts are read off the same per-trial records,
     # so asking for transcripts changes no rate, interval or flag count
-    scheme = _scheme(ell=8)
+    scheme = build_scheme("escrow", 8)
 
     def play(keep):
         if kind == "random":
@@ -343,7 +336,7 @@ def test_transcripts_change_no_figure_of_the_report(kind):
 
 
 def test_game_runner_reproducible_and_scheme_unmutated():
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 16)
 
     def run_once():
         rng = np.random.default_rng(321)

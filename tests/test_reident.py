@@ -11,7 +11,6 @@ from orelearn.encthresh import (
     ComparatorHypothesis,
     pac_learn,
 )
-from orelearn.opf import OpfOre
 from orelearn.reident import (
     accuse_from_estimates,
     capped_sample_count,
@@ -25,11 +24,7 @@ from orelearn.reident import (
     soundness_experiment,
     trace_ex,
 )
-from orelearn.strengthen import EscrowCertifier, StrengthenedOre
-
-
-def _scheme(ell=24):
-    return StrengthenedOre(OpfOre(ell=ell), EscrowCertifier())
+from test_contract import build_scheme
 
 
 # -- generation ----------------------------------------------------------------
@@ -37,7 +32,7 @@ def _scheme(ell=24):
 
 @pytest.mark.filterwarnings("ignore:n.2")
 def test_gen_ex_labels_follow_middle_threshold(rng):
-    scheme = _scheme(ell=16)
+    scheme = build_scheme("escrow", 16)
     state, sample = gen_ex(scheme, 30, rng)
     t = scheme.domain_size // 2
     assert state.concept.t == t
@@ -47,7 +42,7 @@ def test_gen_ex_labels_follow_middle_threshold(rng):
 
 
 def test_gen_ex_well_spacing_usually_holds_at_ell32():
-    scheme = _scheme(ell=32)
+    scheme = build_scheme("escrow", 32)
     flags = []
     for seed in range(30):
         state, _ = gen_ex(scheme, 50, np.random.default_rng(seed))
@@ -56,7 +51,7 @@ def test_gen_ex_well_spacing_usually_holds_at_ell32():
 
 
 def test_gen_ex_well_spacing_fails_under_pigeonhole_pressure():
-    scheme = _scheme(ell=2)
+    scheme = build_scheme("escrow", 2)
     hits = 0
     for seed in range(40):
         with pytest.warns(UserWarning):
@@ -66,7 +61,7 @@ def test_gen_ex_well_spacing_fails_under_pigeonhole_pressure():
 
 
 def test_gen_ex_sorted_is_permutation_of_raw(rng):
-    state, _ = gen_ex(_scheme(), 20, rng)
+    state, _ = gen_ex(build_scheme("escrow", 24), 20, rng)
     sorted_messages = state.bucket_bounds[1:-1]  # m_1 <= ... <= m_n
     assert sorted(state.raw_messages) == sorted_messages
     recon = [state.raw_messages[i] for i in state.sorted_to_raw]
@@ -114,7 +109,7 @@ def test_draw_buckets_matches_the_numpy_reference_on_tiny_domains():
 
 
 def test_sample_without_replaces_one_slot(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 24)
     state, sample = gen_ex(scheme, 10, rng)
     replaced = sample_without(state, sample, 4)
     assert len(replaced) == 10
@@ -176,7 +171,7 @@ def test_accusation_rule_matches_brute_force(values, gamma):
 
 
 def test_estimates_all_zero_hypothesis(rng):
-    state, _ = gen_ex(_scheme(), 8, rng)
+    state, _ = gen_ex(build_scheme("escrow", 24), 8, rng)
     est, k, conforming, degraded = estimate_bucket_probs(
         state, AllZeroesHypothesis(), 0.5, 0.5, rng, k_cap=100
     )
@@ -187,7 +182,7 @@ def test_estimates_all_zero_hypothesis(rng):
 def test_estimates_true_concept_step_shape(rng):
     # the target concept accepts everything below t and nothing above; the
     # straddling bucket's rate equals its exact interval overlap with [0, t)
-    scheme = _scheme(ell=20)
+    scheme = build_scheme("escrow", 20)
     state, _ = gen_ex(scheme, 10, rng)
     concept = state.concept
 
@@ -207,7 +202,7 @@ def test_estimates_true_concept_step_shape(rng):
 
 
 def test_trace_accuses_anchor_of_memorized_example(rng):
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     state, sample = gen_ex(scheme, 15, rng)
     positives = [j for j, (_, label) in enumerate(sample) if label == 1]
     target = positives[len(positives) // 2]
@@ -276,7 +271,7 @@ def test_dp_bound_validates():
 
 
 def test_completeness_smoke(rng):
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     learner = lambda sample: pac_learn(scheme, sample)
     rows = completeness_experiment(
         scheme, 12, learner, alpha=0.05, gamma=0.45, xi=0.05, trials=4, rng=rng, k_cap=150
@@ -288,7 +283,7 @@ def test_completeness_smoke(rng):
 
 
 def test_completeness_all_zeroes_learner_is_not_good(rng):
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     learner = lambda sample: AllZeroesHypothesis()
     rows = completeness_experiment(
         scheme, 12, learner, alpha=0.05, gamma=0.45, xi=0.05, trials=3, rng=rng, k_cap=100
@@ -299,7 +294,7 @@ def test_completeness_all_zeroes_learner_is_not_good(rng):
 
 
 def test_soundness_smoke(rng):
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     learner = lambda sample: pac_learn(scheme, sample)
     rows = soundness_experiment(
         scheme, 12, learner, drop_index=5, gamma=0.45, xi=0.05, trials=6, rng=rng, k_cap=150
@@ -310,7 +305,7 @@ def test_soundness_smoke(rng):
 
 def test_soundness_input_ignoring_learner(rng):
     # a learner that ignores its sample accuses independently of the drop
-    scheme = _scheme(ell=24)
+    scheme = build_scheme("escrow", 24)
     fixed_key = scheme.gen(np.random.default_rng(999))
 
     class FixedZero:

@@ -1,7 +1,6 @@
 """Statistical-query oracle, the threshold learner, key recovery."""
 
 import collections
-import functools
 import hashlib
 import zlib
 from unittest import mock
@@ -24,7 +23,6 @@ from orelearn.encthresh import (
 from orelearn import sq
 from orelearn.core import BOT, MUTATION_CLASSES, mutate_ciphertext
 from orelearn.harness import ExperimentConfig, run
-from orelearn.opf import OpfOre
 from orelearn.sq import (
     KeyRecoveryError,
     OracleKeyRecovery,
@@ -35,18 +33,15 @@ from orelearn.sq import (
     sq_learn,
     tolerance_floor,
 )
-from orelearn.strengthen import EscrowCertifier, StrengthenedOre
-
-
-def _scheme(ell=10, coin_len=32):
-    return StrengthenedOre(OpfOre(ell=ell, coin_len=coin_len), EscrowCertifier())
+from orelearn.strengthen import StrengthenedOre
+from test_contract import build_scheme
 
 
 # -- oracle ---------------------------------------------------------------------
 
 
 def test_oracle_exact_label_query_on_all_positive_mass(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=scheme.domain_size)  # all positive
     dist = PointMassDistribution([concept.encrypt_example(5)], [1.0])
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -54,7 +49,7 @@ def test_oracle_exact_label_query_on_all_positive_mass(rng):
 
 
 def test_oracle_constant_zero_query(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=64)
     dist = random_point_mass(concept, 32, rng)
     for mode in ("exact", "jitter"):
@@ -63,7 +58,7 @@ def test_oracle_constant_zero_query(rng):
 
 
 def test_oracle_jitter_within_tolerance(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=512)
     dist = random_point_mass(concept, 64, rng)
     exact = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -75,7 +70,7 @@ def test_oracle_jitter_within_tolerance(rng):
 
 
 def test_oracle_rejects_tolerance_below_floor(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=64)
     dist = random_point_mass(concept, 8, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -84,7 +79,7 @@ def test_oracle_rejects_tolerance_below_floor(rng):
 
 
 def test_oracle_counts_queries(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=64)
     dist = random_point_mass(concept, 8, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -110,11 +105,6 @@ def test_bit_of_msb_first():
 
 
 # -- grouped (view) queries -------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _cached_scheme(ell, coin_len=32):
-    return _scheme(ell=ell, coin_len=coin_len)
 
 
 def _mixed_support(scheme, seed, weights, coin=None):
@@ -181,7 +171,7 @@ def _salted_test(salt, cut):
     ),
 )
 def test_view_query_equals_the_per_point_predicate(seed, weights, queries):
-    scheme = _cached_scheme(8)
+    scheme = build_scheme("escrow", 8)
     concept, dist = _mixed_support(scheme, seed, weights)
     views = _views(concept)
     for mode in ("exact", "jitter"):
@@ -196,7 +186,7 @@ def test_view_query_equals_the_per_point_predicate(seed, weights, queries):
 
 def test_view_answers_are_memoized_per_view(rng):
     # two views with the same values and the same passing set have their own answers
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=512)
     oracle = StatOracle(concept, random_point_mass(concept, 64, rng), 0.05)
     label = oracle.query(ViewQuery(lambda x, b: b, lambda v: v == 1), 0.05)
@@ -212,7 +202,7 @@ def test_view_query_is_its_per_point_predicate():
 
 
 def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
-    scheme = _scheme(ell=10)
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=37)  # far from the first midpoint
     dist = random_point_mass(concept, 256, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -238,9 +228,9 @@ def test_learner_views_each_point_once_and_decrypts_it_once(rng, monkeypatch):
             super().__init__(counting(view), test)
 
     dec_calls = []
-    dec = scheme.dec
+    dec = StrengthenedOre.dec
     monkeypatch.setattr(sq, "ViewQuery", CountingViewQuery)
-    monkeypatch.setattr(scheme, "dec", lambda *a: dec_calls.append(a) or dec(*a))
+    monkeypatch.setattr(StrengthenedOre, "dec", lambda *a: dec_calls.append(a) or dec(*a))
     h = sq_learn(oracle, 0.05, recovery, scheme)
 
     assert isinstance(h, DecryptThresholdHypothesis) and h.t > 0
@@ -276,7 +266,7 @@ def test_sq_trial_decrypts_each_point_once_per_role(monkeypatch):
     anchor=st.integers(0, 255),
 )
 def test_oracle_error_is_the_exact_error(seed, weights, t, anchor):
-    scheme = _cached_scheme(8)
+    scheme = build_scheme("escrow", 8)
     concept, dist = _mixed_support(scheme, seed, weights)
     key = concept.key
     oracle = StatOracle(concept, dist, 0.05, mode="jitter", rng=np.random.default_rng(seed))
@@ -301,11 +291,11 @@ def test_oracle_error_is_the_exact_error(seed, weights, t, anchor):
 )
 def test_learned_hypothesis_is_scored_from_the_learners_view(seed, weights, mode, tiny, coin):
     if tiny:  # a key from a low coin string, so exhaustive search stays short
-        scheme = _cached_scheme(8, coin_len=2)
+        scheme = build_scheme("escrow", 8, 2)
         concept, dist = _mixed_support(scheme, seed, weights, coin=coin)
         recovery = TinyKeyspaceRecovery(scheme)
     else:
-        scheme = _cached_scheme(8)
+        scheme = build_scheme("escrow", 8)
         concept, dist = _mixed_support(scheme, seed, weights)
         recovery = OracleKeyRecovery()
         recovery.register(concept.key)
@@ -346,7 +336,7 @@ class OracleAgainstMemoFreeTwin(RuleBasedStateMachine):
     def build(self, seed, size, mode):
         # distinct generic weights, so different passing sets have different sums
         weights = np.random.default_rng(seed).uniform(1e-3, 1.0, size).tolist()
-        scheme = _cached_scheme(8)
+        scheme = build_scheme("escrow", 8)
         concept, dist = _mixed_support(scheme, seed, weights)
         self.oracle, self.twin = (
             StatOracle(concept, dist, 0.05, mode=mode, rng=np.random.default_rng(seed))
@@ -422,7 +412,7 @@ test_oracle_against_memo_free_twin = OracleAgainstMemoFreeTwin.TestCase
 
 
 def test_learner_outputs_all_zeroes_off_params_mass(rng):
-    scheme = _scheme()
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=512)
     other = scheme.gen(rng)
     points = [
@@ -442,7 +432,7 @@ def _exact_threshold_error(hypothesis, concept, dist):
 
 @pytest.mark.parametrize("mode", ["exact", "jitter"])
 def test_learner_recovers_good_threshold(mode, rng):
-    scheme = _scheme(ell=10)
+    scheme = build_scheme("escrow", 10)
     alpha = 0.05
     bound = 1 + 8 * scheme.params_len() + scheme.ell
     for trial in range(6):
@@ -461,7 +451,7 @@ def test_learner_recovers_good_threshold(mode, rng):
 
 
 def test_learner_recovers_params_bits_exactly(rng):
-    scheme = _scheme(ell=10)
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=700)
     dist = random_point_mass(concept, 128, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -473,7 +463,7 @@ def test_learner_recovers_params_bits_exactly(rng):
 
 
 def test_learner_errors_without_matching_key(rng):
-    scheme = _scheme(ell=10)
+    scheme = build_scheme("escrow", 10)
     concept = random_concept(scheme, rng, t=700)
     dist = random_point_mass(concept, 64, rng)
     oracle = StatOracle(concept, dist, alpha=0.05, mode="exact")
@@ -484,7 +474,7 @@ def test_learner_errors_without_matching_key(rng):
 def test_learner_threshold_interval_always_contains_target(rng):
     # with an exact oracle the learner's final threshold gives error <= alpha
     # for every achievable t, checked against per-t error enumeration
-    scheme = _scheme(ell=8)
+    scheme = build_scheme("escrow", 8)
     alpha = 0.05
     concept = random_concept(scheme, rng, t=97)
     dist = random_point_mass(concept, 100, rng)
@@ -507,7 +497,7 @@ def test_learner_threshold_interval_always_contains_target(rng):
 
 
 def test_tiny_keyspace_exhaustive_search(rng):
-    scheme = _scheme(ell=8, coin_len=2)
+    scheme = build_scheme("escrow", 8, 2)
     key = scheme.gen(rng)
     recovery = TinyKeyspaceRecovery(scheme)
     sk = recovery.recover(key.params)
@@ -518,12 +508,12 @@ def test_tiny_keyspace_exhaustive_search(rng):
 
 def test_tiny_keyspace_rejects_large_coin_space():
     with pytest.raises(ValueError):
-        TinyKeyspaceRecovery(_scheme(ell=8, coin_len=32))
+        TinyKeyspaceRecovery(build_scheme("escrow", 8, 32))
 
 
 def test_tiny_keyspace_fails_on_foreign_params(rng):
-    tiny = _scheme(ell=8, coin_len=2)
-    other = _scheme(ell=8, coin_len=32).gen(rng)
+    tiny = build_scheme("escrow", 8, 2)
+    other = build_scheme("escrow", 8, 32).gen(rng)
     with pytest.raises(KeyRecoveryError):
         TinyKeyspaceRecovery(tiny).recover(other.params)
 
@@ -543,13 +533,13 @@ def _assert_decrypt_alike(scheme, sk, other, rng):
 
 def test_key_equivalence_identity(rng):
     # the second pass over each ciphertext is answered by the plaintext memo
-    scheme = _scheme(ell=8)
+    scheme = build_scheme("escrow", 8)
     key = scheme.gen(rng)
     _assert_decrypt_alike(scheme, key.sk, key.sk, rng)
 
 
 def test_key_equivalence_same_coins(rng):
-    scheme = _scheme(ell=8)
+    scheme = build_scheme("escrow", 8)
     coins = bytes(rng.bytes(32))
     k1, k2 = scheme.gen_from_coins(coins), scheme.gen_from_coins(coins)
     _assert_decrypt_alike(scheme, k1.sk, k2.sk, rng)
@@ -558,6 +548,6 @@ def test_key_equivalence_same_coins(rng):
 def test_recovered_key_decrypts_like_the_generating_key(rng):
     # step 3 of the learner: any key matching the params decrypts like the
     # generating key, so the recovered one may stand in for it
-    scheme = _scheme(ell=8, coin_len=2)
+    scheme = build_scheme("escrow", 8, 2)
     key = scheme.gen(rng)
     _assert_decrypt_alike(scheme, key.sk, TinyKeyspaceRecovery(scheme).recover(key.params), rng)

@@ -80,7 +80,8 @@ def test_escrow_rejects_the_spliced_forgery_witness(rng):
     scheme = build_scheme("escrow")
     key = scheme.gen(rng)
     witness = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=200, payload_of=3)
-    assert key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, witness, b"") is False
+    params = key.params
+    assert params.cert_vk.verify(params.base_params.data, params.sigma, witness, b"") is False
 
 
 def _refuse_to_encrypt(*args):
@@ -94,8 +95,9 @@ def test_escrow_verification_encrypts_nothing(rng, monkeypatch):
     spliced = forge_spliced_ciphertext(scheme.base, key.sk.base_sk, tag_of=200, payload_of=3)
     garbage = honest[:2] + bytes(rng.bytes(len(honest) - 2))
     monkeypatch.setattr(OpfOre, "_seal", _refuse_to_encrypt)
+    params = key.params
     verdicts = [
-        key.sk.cert_vk.verify(key.sk.base_params.data, key.sk.sigma, ct, b"")
+        params.cert_vk.verify(params.base_params.data, params.sigma, ct, b"")
         for ct in (honest, spliced, garbage)
     ]
     assert verdicts == [True, False, False]
@@ -118,12 +120,21 @@ def test_signature_certificate_signs_the_statement_bytes(rng):
     scheme = build_scheme("signature")
     key = scheme.gen(rng)
     base_ct, cert = scheme.parse(scheme.enc(key.sk, 42))
-    stmt = statement_bytes(key.sk.base_params.data, key.sk.sigma, base_ct)
-    assert stmt == b"ore-statement-v1" + encode_blob(key.sk.base_params.data, key.sk.sigma, base_ct)
+    params = key.params
+    stmt = statement_bytes(params.base_params.data, params.sigma, base_ct)
+    assert stmt == b"ore-statement-v1" + encode_blob(params.base_params.data, params.sigma, base_ct)
     Ed25519PublicKey.from_public_bytes(key.params.cert_vk.vk_bytes).verify(cert, stmt)
 
 
 # -- the strengthened scheme --------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", STRENGTHENED)
+def test_the_secret_key_holds_its_params(kind, rng):
+    # dec verifies against the object comp is given: one copy of sigma and
+    # of the verify key
+    key = build_scheme(kind).gen(rng)
+    assert key.sk.params is key.params
 
 
 @pytest.mark.parametrize("kind", STRENGTHENED)
@@ -191,7 +202,7 @@ def test_delegation_on_honest_pairs_matches_base(rng):
         a, b = map(int, rng.integers(0, 256, size=2))
         strong = scheme.comp(key.params, scheme.enc(key.sk, a), scheme.enc(key.sk, b))
         weak = base.comp(
-            key.sk.base_params, base.enc(base_key_sk, a), base.enc(base_key_sk, b)
+            key.params.base_params, base.enc(base_key_sk, a), base.enc(base_key_sk, b)
         )
         assert strong is weak
 
